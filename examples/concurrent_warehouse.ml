@@ -39,19 +39,8 @@ let run_mode ~online =
       start_at = 0;
       work =
         (fun () ->
-          if online then
-            List.iter
-              (fun od -> ignore (Warehouse.integrate_op_delta wh od : Warehouse.stats))
-              maintenance
-          else
-            Db.with_txn db (fun txn ->
-                List.iter
-                  (fun od ->
-                    List.iter
-                      (fun (op : Op_delta.op) ->
-                        ignore (Db.exec db txn op.Op_delta.stmt : Db.exec_result))
-                      od.Op_delta.ops)
-                  maintenance));
+          let grouping = if online then Warehouse.Per_txn else Warehouse.Run in
+          ignore (Warehouse.integrate_op_deltas ~grouping wh maintenance : Warehouse.stats));
     }
   in
   let analysts =

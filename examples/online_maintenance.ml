@@ -71,7 +71,7 @@ let () =
   let wh_batch = mk_warehouse () in
   let batch_stats = Warehouse.integrate_value_delta wh_batch value_delta in
   let wh_online = mk_warehouse () in
-  let per_txn_stats = List.map (Warehouse.integrate_op_delta wh_online) ods in
+  let per_txn_stats = List.map (fun od -> Warehouse.integrate_op_deltas wh_online [ od ]) ods in
   Printf.printf "batch integration: %d row ops in one transaction (%s)\n"
     batch_stats.Warehouse.row_ops
     (Dw_util.Fmt_util.human_duration batch_stats.Warehouse.duration);

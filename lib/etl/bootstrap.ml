@@ -8,6 +8,7 @@ module Expr = Dw_relation.Expr
 module Metrics = Dw_util.Metrics
 module Prng = Dw_util.Prng
 module Backoff = Dw_util.Backoff
+module Aimd = Dw_util.Aimd
 module Ast = Dw_sql.Ast
 module Op_delta = Dw_core.Op_delta
 module Opdelta_capture = Dw_core.Opdelta_capture
@@ -84,7 +85,7 @@ type t = {
   owns : int -> bool;  (* chunk-row key ownership (shard rebuild) *)
   resumed : bool;
   mutable row : Run_state.row;  (* in-memory mirror of the durable state row *)
-  mutable target : int;         (* AIMD chunk-size target *)
+  target : Aimd.t;              (* chunk-size valve *)
   mutable last_pumped : int;    (* highest source txn id enqueued *)
   mutable nonce : int;          (* this attempt's watermark-bracket nonce *)
   mutable window_touched : (int, unit) Hashtbl.t option;  (* Some = window open *)
@@ -212,7 +213,9 @@ let start ?(config = default_config) ?(hook = fun (_ : phase) -> ())
         owns;
         resumed;
         row;
-        target = config.chunk_max;
+        target =
+          Aimd.create metrics ~gauge:"bootstrap.chunk_target" ~floor:config.chunk_min
+            ~ceiling:config.chunk_max ~threshold_s:config.lock_wait_p95_s;
         last_pumped = max row.Run_state.last_txn (pending_max_txn ~wh_db queue);
         nonce = -1;
         window_touched = None;
@@ -286,7 +289,7 @@ let select_chunk t =
   in
   Db.commit t.source txn;
   let sorted = List.sort (fun a b -> Value.compare a.(0) b.(0)) rows in
-  List.filteri (fun i _ -> i < t.target) sorted
+  List.filteri (fun i _ -> i < Aimd.target t.target) sorted
 
 let key_of tuple = match tuple.(0) with Value.Int k -> k | _ -> assert false
 
@@ -318,8 +321,10 @@ let apply_delta t od =
      let keys = with_retry t (fun () -> Warehouse.integrate_op_delta_images t.wh ~table:t.table ~mark od) in
      List.iter (fun k -> Hashtbl.replace touched k ()) keys
    | None ->
-     ignore (with_retry t (fun () -> Warehouse.integrate_op_delta_marked t.wh ~mark od)
-             : Warehouse.stats));
+     ignore
+       (with_retry t (fun () ->
+            Warehouse.integrate_op_deltas t.wh ~mark:(fun (_ : Op_delta.t list) -> mark) [ od ])
+         : Warehouse.stats));
   t.row <- !marked;
   t.delta_txns_applied <- t.delta_txns_applied + 1
 
@@ -372,12 +377,9 @@ let apply_chunk t touched =
     journal t
       (Printf.sprintf "chunk|%s|%d|%d|%d" t.row.Run_state.run_id chunk_idx n_loaded
          t.row.Run_state.next_key);
-    (* AIMD valve, same policy shape as the warehouse batch integrator:
-       halve under reader lock pressure, creep back up otherwise *)
-    let p95 = Metrics.percentile t.metrics "lock.wait" 0.95 in
-    if p95 > t.cfg.lock_wait_p95_s then t.target <- max t.cfg.chunk_min (t.target / 2)
-    else t.target <- min t.cfg.chunk_max (t.target + 1);
-    Metrics.set_gauge t.metrics "bootstrap.chunk_target" (float_of_int t.target);
+    (* the same valve as the warehouse batch integrator: halve under
+       reader lock pressure, creep back up otherwise *)
+    Aimd.step t.target;
     t.hook (Chunk_done chunk_idx)
 
 (* process the oldest queue frame; the ack only happens after the frame's

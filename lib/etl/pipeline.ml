@@ -438,7 +438,10 @@ let run_planned_round t planner =
     Ok (count, bytes, units, Planner.method_name chosen, stats)
 
 let run_round t =
-  let start = Unix.gettimeofday () in
+  (* the warehouse registry clock, which also times the integration, so
+     a Sim_clock run reports the same round time on any host *)
+  let clock = Db.metrics (Warehouse.db t.warehouse) in
+  let start = Dw_util.Metrics.now clock in
   let finish extracted_changes shipped_bytes extract_units method_used integration =
     t.rounds_run <- t.rounds_run + 1;
     Watermark.advance t.wm ~table:t.table
@@ -451,7 +454,7 @@ let run_round t =
         extract_units;
         method_used;
         integration;
-        total_seconds = Unix.gettimeofday () -. start;
+        total_seconds = Dw_util.Metrics.now clock -. start;
       }
   in
   match t.method_ with

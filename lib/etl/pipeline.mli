@@ -101,6 +101,8 @@ type round_stats = {
           round (for static pipelines, the configured method) *)
   integration : Warehouse.stats;
   total_seconds : float;
+      (** round time on the warehouse registry's clock, the one
+          [integration.duration] is measured on *)
 }
 
 val run_round : t -> (round_stats, string) result

@@ -71,7 +71,8 @@ let run_arm ~table_rows mode =
       work =
         (fun () ->
           let t0 = Unix.gettimeofday () in
-          ignore (Warehouse.integrate_op_deltas_batched wh ods : Warehouse.stats);
+          let grouping = Warehouse.Batched Warehouse.default_batch_policy in
+          ignore (Warehouse.integrate_op_deltas ~grouping wh ods : Warehouse.stats);
           refresh := Unix.gettimeofday () -. t0);
     }
   in

@@ -93,7 +93,7 @@ let run_w1 ~scale =
           let t_op =
             best_of ~repeat:3
               ~setup:(fun () -> mk_warehouse ~replica_rows:table_rows)
-              (fun wh -> ignore (Warehouse.integrate_op_delta wh od : Warehouse.stats))
+              (fun wh -> ignore (Warehouse.integrate_op_deltas wh [ od ] : Warehouse.stats))
           in
           let s1 = { Warehouse.txns = 1; statements = 0; row_ops = 0; duration = t_value } in
           let s2 = { Warehouse.txns = 1; statements = 0; row_ops = 0; duration = t_op } in
@@ -161,7 +161,7 @@ let run_w1_agg ~scale =
           let t_op =
             best_of ~repeat:3
               ~setup:(fun () -> mk_agg_warehouse ~replica_rows:table_rows)
-              (fun wh -> ignore (Warehouse.integrate_op_delta wh od : Warehouse.stats))
+              (fun wh -> ignore (Warehouse.integrate_op_deltas wh [ od ] : Warehouse.stats))
           in
           rows :=
             [ op_name kind; string_of_int size; dur t_value; dur t_op;
@@ -172,8 +172,8 @@ let run_w1_agg ~scale =
   print_table ~title:"Maintenance window (COUNT/SUM aggregate view attached)" ~header
     ~rows:(List.rev !rows);
   print_endline
-    "shape check: the Op-Delta advantage persists when the maintenance work includes \
-     aggregate-view upkeep (the [19] setting the paper positions itself in front of)"
+    "shape check: the Op-Delta advantage on updates persists when the maintenance work \
+     includes aggregate-view upkeep (the [19] setting the paper positions itself in front of)"
 
 let run_w2 ~scale =
   section "W2: warehouse availability during maintenance (Op-Delta online vs value-delta batch)";
@@ -203,7 +203,7 @@ let run_w2 ~scale =
   let wh1 = mk_warehouse ~replica_rows:table_rows in
   let batch_stats = Warehouse.integrate_value_delta wh1 value_delta in
   let wh2 = mk_warehouse ~replica_rows:table_rows in
-  let op_stats = List.map (Warehouse.integrate_op_delta wh2) ods in
+  let op_stats = List.map (fun od -> Warehouse.integrate_op_deltas wh2 [ od ]) ods in
   (* costs in ticks = row operations performed while holding the lock *)
   let batch_job = max 1 batch_stats.Warehouse.row_ops in
   let op_jobs = List.map (fun (s : Warehouse.stats) -> max 1 s.Warehouse.row_ops) op_stats in
@@ -263,21 +263,10 @@ let run_w2_real ~scale =
         start_at = 0;
         work =
           (fun () ->
-            if online then
-              List.iter
-                (fun od -> ignore (Warehouse.integrate_op_delta wh od : Warehouse.stats))
-                ods
-            else begin
-              (* the batch: all transactions' statements in ONE warehouse txn *)
-              Db.with_txn db (fun txn ->
-                  List.iter
-                    (fun od ->
-                      List.iter
-                        (fun (op : Op_delta.op) ->
-                          ignore (Db.exec db txn op.Op_delta.stmt : Db.exec_result))
-                        od.Op_delta.ops)
-                    ods)
-            end);
+            (* online: one warehouse txn per source txn; batch: all
+               transactions' statements in ONE warehouse txn *)
+            let grouping = if online then Warehouse.Per_txn else Warehouse.Run in
+            ignore (Warehouse.integrate_op_deltas ~grouping wh ods : Warehouse.stats));
       }
     in
     let readers =

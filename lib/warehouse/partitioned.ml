@@ -322,42 +322,18 @@ let agg_view_rows t name = agg_view_rows_of t (indices t) name
 
 (* ---------- parallel refresh ---------- *)
 
-let take n xs =
-  let rec go n acc = function
-    | rest when n = 0 -> (List.rev acc, rest)
-    | [] -> (List.rev acc, [])
-    | x :: rest -> go (n - 1) (x :: acc) rest
-  in
-  go n [] xs
-
-(* one shard's valve-governed apply: the same AIMD loop as the monolithic
-   integrate_op_deltas_batched, but reading this shard's own lock.wait
+(* one shard's valve-governed apply: the monolithic batched integrator
+   over this shard's pending bucket, reading this shard's own lock.wait
    p95 — backpressure on one partition leaves the others' run lengths
-   alone *)
+   alone — and committing each run's watermark advance inside the run *)
 let refresh_shard policy wh ods =
   let db = Warehouse.db wh in
-  let metrics = Db.metrics db in
   let wm = watermark_of wh in
   let pending = List.filter (fun od -> od.Op_delta.txn_id > wm) ods in
-  let target = ref policy.Warehouse.max_batch in
-  let rec go acc = function
-    | [] -> acc
-    | rest ->
-      let run, rest = take !target rest in
-      Metrics.observe metrics "warehouse.batch_size" (float_of_int (List.length run));
-      let last =
-        List.fold_left (fun acc od -> max acc od.Op_delta.txn_id) 0 run
-      in
-      let mark txn = set_progress db txn last in
-      let acc = Warehouse.add_stats acc (Warehouse.integrate_op_delta_run_marked wh ~mark run) in
-      let p95 = Metrics.percentile metrics "lock.wait" 0.95 in
-      if p95 > policy.Warehouse.lock_wait_p95_s then
-        target := max policy.Warehouse.min_batch (!target / 2)
-      else target := min policy.Warehouse.max_batch (!target + 1);
-      Metrics.set_gauge metrics "warehouse.batch_size_target" (float_of_int !target);
-      go acc rest
+  let mark run txn =
+    set_progress db txn (List.fold_left (fun acc od -> max acc od.Op_delta.txn_id) 0 run)
   in
-  go Warehouse.zero_stats pending
+  Warehouse.integrate_op_deltas ~grouping:(Warehouse.Batched policy) ~mark wh pending
 
 let check_buckets t buckets =
   if Array.length buckets <> partitions t then
@@ -522,14 +498,17 @@ let refresh_guarded ?(policy = Warehouse.default_batch_policy) ~pool t buckets =
   in
   (* parallel attempts: pool tasks touch only their own shard (its
      warehouse, its registry, its retry backoff) — never the breaker or
-     the fleet registry, whose bookkeeping stays on this domain *)
+     the fleet registry, whose bookkeeping stays on this domain.  Tasks
+     only read the fleet registry's clock, the one the breakers dwell on,
+     so a Sim_clock run breaches [refresh_timeout_s] the same way on any
+     host *)
   let attempts =
     List.filter_map (fun i -> match plan.(i) with `Attempt -> Some i | _ -> None)
       (List.init n Fun.id)
   in
   let task i () =
     let s = t.states.(i) in
-    let started = Unix.gettimeofday () in
+    let started = Metrics.now t.hmetrics in
     let retries = ref 0 in
     let rec go attempt =
       match refresh_shard policy t.shards.(i) buckets.(i) with
@@ -546,7 +525,7 @@ let refresh_guarded ?(policy = Warehouse.default_batch_policy) ~pool t buckets =
         Error (Printf.sprintf "crash on %s at event %d" op index)
     in
     let result = go 0 in
-    (result, !retries, Unix.gettimeofday () -. started)
+    (result, !retries, Metrics.now t.hmetrics -. started)
   in
   let results = Domain_pool.run_all pool (List.map (fun i -> task i) attempts) in
   (* sequential post-pass: breaker bookkeeping and health transitions *)

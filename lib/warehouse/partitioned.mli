@@ -11,7 +11,7 @@
     shards share no mutable engine state, {!refresh} can apply
     independent partitions' delta buckets concurrently, one
     {!Dw_util.Domain_pool} worker per shard, and each shard keeps the
-    PR 3 AIMD backpressure valve working against {e its own} [lock.wait]
+    {!Dw_util.Aimd} backpressure valve working against {e its own} [lock.wait]
     p95 — a hot partition throttles without slowing its siblings.
 
     {b Equivalence.}  The staged-and-partitioned refresh is logically
@@ -78,9 +78,10 @@ type health_config = {
   max_retries : int;  (** in-task transient-fault retries per shard refresh *)
   retry_backoff_s : float;  (** base of the equal-jitter in-task retry backoff *)
   refresh_timeout_s : float;
-      (** post-hoc breach threshold (wall-clock seconds) on one shard's
-          refresh: the work stays applied, but the shard is counted
-          against its breaker *)
+      (** post-hoc breach threshold on one shard's refresh, in seconds
+          of the fleet registry's clock (the one the breakers dwell on):
+          the work stays applied, but the shard is counted against its
+          breaker *)
 }
 
 val default_health_config : health_config
@@ -167,13 +168,11 @@ val refresh :
 (** Apply staged per-partition delta buckets (index-aligned with shards,
     as produced by [Dw_etl.Stage.split]) concurrently, one pool task per
     shard.  Each shard filters its bucket by its watermark, then applies
-    valve-governed runs: each run is one shard transaction
-    ({!Warehouse.integrate_op_delta_run_marked}) carrying the watermark
+    it with {!Warehouse.integrate_op_deltas}[ ~grouping:(Batched policy)]:
+    each run is one shard transaction whose [mark] carries the watermark
     advance, its size observed into that shard's [warehouse.batch_size]
-    histogram; the run-length target halves (floored at
-    [policy.min_batch]) when the {e shard's own} [lock.wait] p95 exceeds
-    [policy.lock_wait_p95_s] and recovers +1 otherwise — the per-
-    partition valve.  Returns summed stats (durations add across shards;
+    histogram, and the run-length target follows the {e shard's own}
+    [lock.wait] p95 — the per-partition valve.  Returns summed stats (durations add across shards;
     wall-clock is the caller's to measure).  Raises [Invalid_argument]
     on a bucket array of the wrong length or an invalid policy. *)
 

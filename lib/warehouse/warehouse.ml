@@ -12,6 +12,8 @@ module Op_delta = Dw_core.Op_delta
 module Spj_view = Dw_core.Spj_view
 module Agg_view = Dw_core.Agg_view
 module Metrics = Dw_util.Metrics
+module Aimd = Dw_util.Aimd
+module Ast = Dw_sql.Ast
 
 type view_state = {
   def : Spj_view.t;
@@ -32,14 +34,12 @@ type t = {
   replicas : (string, Schema.t) Hashtbl.t;
   views : (string, view_state) Hashtbl.t;  (* view name -> state *)
   agg_views : (string, agg_state) Hashtbl.t;
-  viewonly : (string, view_state) Hashtbl.t;
   by_source : (string, string list ref) Hashtbl.t;  (* source table -> view names *)
   agg_by_source : (string, string list ref) Hashtbl.t;
   mutable row_ops : int;  (* counted across integrations via triggers *)
 }
 
-let create ?pool_pages ?pool_stripes ~vfs ~name () =
-  let db = Db.create ?pool_pages ?pool_stripes ~vfs ~name () in
+let attach ~db () =
   (* the warehouse resolves keyed predicates through the pk index, unlike
      the paper's scan-bound operational sources *)
   Db.set_plan_mode db `Index_preferred;
@@ -48,11 +48,13 @@ let create ?pool_pages ?pool_stripes ~vfs ~name () =
     replicas = Hashtbl.create 8;
     views = Hashtbl.create 8;
     agg_views = Hashtbl.create 8;
-    viewonly = Hashtbl.create 8;
     by_source = Hashtbl.create 8;
     agg_by_source = Hashtbl.create 8;
     row_ops = 0;
   }
+
+let create ?pool_pages ?pool_stripes ~vfs ~name () =
+  attach ~db:(Db.create ?pool_pages ?pool_stripes ~vfs ~name ()) ()
 
 let db t = t.db
 
@@ -273,10 +275,14 @@ let maintain_views t source (ctx : Db.trigger_ctx) event =
       (fun ast -> agg_apply_update t ctx.Db.ctx_txn ast ~before ~after)
       (agg_views_on t source)
 
-let add_replica t ~table ~schema =
-  if Hashtbl.mem t.replicas table then
-    invalid_arg (Printf.sprintf "Warehouse.add_replica: %s exists" table);
-  ignore (Db.create_table t.db ~name:table schema : Table.t);
+(* record that view [name] is maintained from [source] *)
+let index_by_source by_source ~source name =
+  match Hashtbl.find_opt by_source source with
+  | Some cell -> cell := name :: !cell
+  | None -> Hashtbl.add by_source source (ref [ name ])
+
+(* register [table] as a replica and attach its view-maintenance trigger *)
+let install_replica t ~table schema =
   Hashtbl.add t.replicas table schema;
   Db.add_trigger t.db ~table
     {
@@ -284,6 +290,12 @@ let add_replica t ~table ~schema =
       on = [ Trigger.On_insert; Trigger.On_delete; Trigger.On_update ];
       action = (fun ctx event -> maintain_views t table ctx event);
     }
+
+let add_replica t ~table ~schema =
+  if Hashtbl.mem t.replicas table then
+    invalid_arg (Printf.sprintf "Warehouse.add_replica: %s exists" table);
+  ignore (Db.create_table t.db ~name:table schema : Table.t);
+  install_replica t ~table schema
 
 let load_replica t ~table rows =
   let tbl = Db.table t.db table in
@@ -306,7 +318,7 @@ let recompute_view t name =
 
 let define_view t view =
   let name = Spj_view.name view in
-  if Hashtbl.mem t.views name || Hashtbl.mem t.viewonly name then
+  if Hashtbl.mem t.views name then
     invalid_arg (Printf.sprintf "Warehouse.define_view: %s exists" name);
   (match Spj_view.validate view with
    | Ok () -> ()
@@ -322,18 +334,7 @@ let define_view t view =
   ignore (Db.create_table t.db ~name back_schema : Table.t);
   let vs = { def = view; backing = name; out_schema; back_schema } in
   Hashtbl.add t.views name vs;
-  List.iter
-    (fun source ->
-      let cell =
-        match Hashtbl.find_opt t.by_source source with
-        | Some cell -> cell
-        | None ->
-          let cell = ref [] in
-          Hashtbl.add t.by_source source cell;
-          cell
-      in
-      cell := name :: !cell)
-    (Spj_view.source_tables view);
+  List.iter (fun source -> index_by_source t.by_source ~source name) (Spj_view.source_tables view);
   (* materialize from current replica contents *)
   let contents = Spj_view.eval view ~rows_of:(replica_rows t) in
   let tbl = Db.table t.db name in
@@ -371,15 +372,7 @@ let define_agg_view t view =
   ignore (Db.create_table t.db ~name aback_schema : Table.t);
   let ast = { adef = view; abacking = name; aout_schema; aback_schema } in
   Hashtbl.add t.agg_views name ast;
-  let cell =
-    match Hashtbl.find_opt t.agg_by_source view.Agg_view.table with
-    | Some cell -> cell
-    | None ->
-      let cell = ref [] in
-      Hashtbl.add t.agg_by_source view.Agg_view.table cell;
-      cell
-  in
-  cell := name :: !cell;
+  index_by_source t.agg_by_source ~source:view.Agg_view.table name;
   (* materialize *)
   let contents = Agg_view.eval view ~rows:(replica_rows t view.Agg_view.table) in
   let tbl = Db.table t.db name in
@@ -420,6 +413,44 @@ let add_stats a b =
     duration = a.duration +. b.duration;
   }
 
+(* ---------- the apply core ---------- *)
+
+(* Every integration is one warehouse transaction built here: the
+   [warehouse.refresh] span, the registry-clock timer, [Db.with_txn], the
+   in-transaction [mark] (a progress record that commits or rolls back
+   with the data) and the stats.  [body] runs its statements through
+   [exec], which executes ASTs directly — Op-Delta text is parsed once,
+   at transport decode, and value-delta records become ASTs here — and
+   reports every failure, an unknown table included, as
+   [Invalid_argument "<entry>: ..."]. *)
+let apply (t : t) ~entry ?(mark = ignore) body =
+  let metrics = Db.metrics t.db in
+  Metrics.with_span metrics "warehouse.refresh" @@ fun () ->
+  let start = Metrics.now metrics in
+  let row_ops0 = t.row_ops in
+  let statements = ref 0 in
+  let result =
+    Db.with_txn t.db (fun txn ->
+        let exec stmt =
+          incr statements;
+          match Db.exec t.db txn stmt with
+          | result -> result
+          | exception Invalid_argument e -> invalid_arg (entry ^ ": " ^ e)
+          | exception Not_found ->
+            invalid_arg (Printf.sprintf "%s: unknown table %s" entry (Ast.table_of stmt))
+        in
+        let result = body exec in
+        mark txn;
+        result)
+  in
+  ( result,
+    {
+      txns = 1;
+      statements = !statements;
+      row_ops = t.row_ops - row_ops0;
+      duration = Metrics.now metrics -. start;
+    } )
+
 (* Per the paper (Section 4.1), a value delta integrates as SQL
    statements: one INSERT per captured insert image, one keyed DELETE per
    delete image, and a keyed DELETE (before image) plus an INSERT (after
@@ -435,10 +466,10 @@ let key_predicate schema tuple =
   match Expr.conj preds with Some p -> p | None -> assert false
 
 let insert_stmt table tuple =
-  Dw_sql.Ast.Insert { table; columns = None; rows = [ Array.to_list tuple ] }
+  Ast.Insert { table; columns = None; rows = [ Array.to_list tuple ] }
 
 let delete_stmt table schema tuple =
-  Dw_sql.Ast.Delete { table; where = Some (key_predicate schema tuple) }
+  Ast.Delete { table; where = Some (key_predicate schema tuple) }
 
 let update_stmt table schema tuple =
   (* SET every non-key column to the after image's literal *)
@@ -447,190 +478,30 @@ let update_stmt table schema tuple =
     |> List.map (fun c ->
            (c.Schema.name, Expr.Lit tuple.(Schema.index_of schema c.Schema.name)))
   in
-  Dw_sql.Ast.Update { table; sets; where = Some (key_predicate schema tuple) }
+  Ast.Update { table; sets; where = Some (key_predicate schema tuple) }
+
+(* update-or-insert by key *)
+let upsert exec ~table schema tuple =
+  match exec (update_stmt table schema tuple) with
+  | Db.Affected 0 -> ignore (exec (insert_stmt table tuple) : Db.exec_result)
+  | Db.Affected _ | Db.Rows _ | Db.Created -> ()
 
 let integrate_value_delta (t : t) delta =
-  Metrics.with_span (Db.metrics t.db) "warehouse.refresh" @@ fun () ->
-  let table = delta.Delta.table in
-  let schema = delta.Delta.schema in
-  let start = Metrics.now (Db.metrics t.db) in
-  let row_ops0 = t.row_ops in
-  let statements = ref 0 in
-  (* the differential file is data; the integrator turns each record into
-     SQL text and runs it through the full statement path (parse included),
-     which is where the per-record statement overhead of the paper's value
-     path comes from *)
-  let exec txn stmt =
-    incr statements;
-    match Db.exec_sql t.db txn (Dw_sql.Printer.to_string stmt) with
-    | Ok result -> result
-    | Error e -> invalid_arg ("Warehouse.integrate_value_delta: " ^ e)
-  in
-  Db.with_txn t.db (fun txn ->
-      List.iter
-        (fun change ->
-          match change with
-          | Delta.Insert after -> ignore (exec txn (insert_stmt table after) : Db.exec_result)
-          | Delta.Delete before ->
-            ignore (exec txn (delete_stmt table schema before) : Db.exec_result)
-          | Delta.Update (before, after) ->
-            ignore (exec txn (delete_stmt table schema before) : Db.exec_result);
-            ignore (exec txn (insert_stmt table after) : Db.exec_result)
-          | Delta.Upsert after -> (
-              (* update-or-insert by key *)
-              match exec txn (update_stmt table schema after) with
-              | Db.Affected 0 -> ignore (exec txn (insert_stmt table after) : Db.exec_result)
-              | Db.Affected _ | Db.Rows _ | Db.Created -> ()))
-        delta.Delta.changes);
-  {
-    txns = 1;
-    statements = !statements;
-    row_ops = t.row_ops - row_ops0;
-    duration = Metrics.now (Db.metrics t.db) -. start;
-  }
+  let table = delta.Delta.table and schema = delta.Delta.schema in
+  snd
+  @@ apply t ~entry:"Warehouse.integrate_value_delta" (fun exec ->
+         let run stmt = ignore (exec stmt : Db.exec_result) in
+         List.iter
+           (function
+             | Delta.Insert after -> run (insert_stmt table after)
+             | Delta.Delete before -> run (delete_stmt table schema before)
+             | Delta.Update (before, after) ->
+               run (delete_stmt table schema before);
+               run (insert_stmt table after)
+             | Delta.Upsert after -> upsert exec ~table schema after)
+           delta.Delta.changes)
 
-let integrate_op_delta (t : t) od =
-  Metrics.with_span (Db.metrics t.db) "warehouse.refresh" @@ fun () ->
-  let start = Metrics.now (Db.metrics t.db) in
-  let row_ops0 = t.row_ops in
-  let statements = ref 0 in
-  Db.with_txn t.db (fun txn ->
-      List.iter
-        (fun (op : Op_delta.op) ->
-          incr statements;
-          (* op-deltas arrive as SQL text as well — one parse per source
-             statement, not per affected row *)
-          match Db.exec_sql t.db txn (Dw_sql.Printer.to_string op.Op_delta.stmt) with
-          | Ok _ -> ()
-          | Error e -> invalid_arg ("Warehouse.integrate_op_delta: " ^ e))
-        od.Op_delta.ops);
-  {
-    txns = 1;
-    statements = !statements;
-    row_ops = t.row_ops - row_ops0;
-    duration = Metrics.now (Db.metrics t.db) -. start;
-  }
-
-(* ---------- replica-less (view-only) maintenance ---------- *)
-
-let define_viewonly_view t view =
-  (match view with
-   | Spj_view.Select_project _ -> ()
-   | Spj_view.Join _ ->
-     invalid_arg
-       "Warehouse.define_viewonly_view: join views are not self-maintainable without replicas");
-  let name = Spj_view.name view in
-  if Hashtbl.mem t.viewonly name || Hashtbl.mem t.views name || Hashtbl.mem t.agg_views name
-  then invalid_arg (Printf.sprintf "Warehouse.define_viewonly_view: %s exists" name);
-  (match Spj_view.validate view with
-   | Ok () -> ()
-   | Error e -> invalid_arg ("Warehouse.define_viewonly_view: " ^ e));
-  let out_schema = Spj_view.output_schema view in
-  let back_schema = backing_schema out_schema in
-  ignore (Db.create_table t.db ~name back_schema : Table.t);
-  Hashtbl.add t.viewonly name { def = view; backing = name; out_schema; back_schema }
-
-let viewonly_views_for t source =
-  Hashtbl.fold
-    (fun _ vs acc ->
-      if List.mem source (Spj_view.source_tables vs.def) then vs :: acc else acc)
-    t.viewonly []
-
-let viewonly_view_rows t name =
-  match Hashtbl.find_opt t.viewonly name with
-  | None -> raise Not_found
-  | Some vs ->
-    let rows = ref [] in
-    Table.scan (Db.table t.db name) (fun _ row ->
-        let count = count_of vs.back_schema row in
-        let out = Array.sub row 0 (Schema.arity vs.out_schema) in
-        rows := (out, count) :: !rows);
-    List.sort (fun (a, _) (b, _) -> Tuple.compare a b) !rows
-
-(* build the inserted tuples an INSERT statement describes, in the source
-   schema's column order (the same resolution Db.insert_values performs) *)
-let tuples_of_insert schema columns rows =
-  List.map
-    (fun row ->
-      match columns with
-      | None ->
-        if List.length row <> Schema.arity schema then
-          invalid_arg "Warehouse: INSERT arity mismatch in view-only integration";
-        Array.of_list row
-      | Some cols ->
-        let tuple = Array.make (Schema.arity schema) Value.Null in
-        (try List.iter2 (fun col v -> tuple.(Schema.index_of schema col) <- v) cols row
-         with Invalid_argument _ ->
-           invalid_arg "Warehouse: INSERT columns/values mismatch in view-only integration");
-        tuple)
-    rows
-
-let viewonly_after_image schema sets before =
-  List.fold_left
-    (fun tuple (col, e) ->
-      Tuple.set schema tuple col (Dw_relation.Expr.eval schema before e))
-    before sets
-
-let integrate_op_delta_viewonly (t : t) od =
-  Metrics.with_span (Db.metrics t.db) "warehouse.refresh" @@ fun () ->
-  let start = Metrics.now (Db.metrics t.db) in
-  let row_ops0 = t.row_ops in
-  let statements = ref 0 in
-  let module Ast = Dw_sql.Ast in
-  Db.with_txn t.db (fun txn ->
-      List.iter
-        (fun (op : Op_delta.op) ->
-          incr statements;
-          let stmt = op.Op_delta.stmt in
-          let source = Ast.table_of stmt in
-          let views = viewonly_views_for t source in
-          if views <> [] then begin
-            let source_schema =
-              match List.nth_opt views 0 with
-              | Some vs -> (
-                  match vs.def with
-                  | Spj_view.Select_project { schema; _ } -> schema
-                  | Spj_view.Join _ -> assert false)
-              | None -> assert false
-            in
-            let adjust_rows rows delta =
-              List.iter
-                (fun row ->
-                  List.iter
-                    (fun vs ->
-                      match Spj_view.project_sp vs.def row with
-                      | Some out -> adjust t txn vs out delta
-                      | None -> ())
-                    views)
-                rows
-            in
-            match stmt with
-            | Ast.Insert { columns; rows; _ } ->
-              adjust_rows (tuples_of_insert source_schema columns rows) 1
-            | Ast.Delete _ ->
-              (* an empty image list is also what a zero-row DELETE looks
-                 like, so it cannot be rejected — hybrid capture is the
-                 caller's responsibility (see mli) *)
-              adjust_rows op.Op_delta.before_images (-1)
-            | Ast.Update { sets; _ } ->
-              adjust_rows op.Op_delta.before_images (-1);
-              adjust_rows
-                (List.map (viewonly_after_image source_schema sets) op.Op_delta.before_images)
-                1
-            | Ast.Select _ | Ast.Create_table _ -> ()
-          end)
-        od.Op_delta.ops);
-  {
-    txns = 1;
-    statements = !statements;
-    row_ops = t.row_ops - row_ops0;
-    duration = Metrics.now (Db.metrics t.db) -. start;
-  }
-
-let integrate_op_deltas t ods =
-  List.fold_left (fun acc od -> add_stats acc (integrate_op_delta t od)) zero_stats ods
-
-(* ---------- micro-batched apply ---------- *)
+(* ---------- Op-Delta apply ---------- *)
 
 type batch_policy = {
   max_batch : int;
@@ -647,36 +518,7 @@ let validate_batch_policy p =
   if not (p.lock_wait_p95_s >= 0.0) then
     invalid_arg "Warehouse: batch_policy.lock_wait_p95_s < 0"
 
-(* apply a run of consecutive source transactions as ONE warehouse
-   transaction, re-executing every statement in source commit order; the
-   mark callback runs inside the same transaction so progress records
-   (the partitioned refresh's per-shard watermark) commit atomically
-   with the run *)
-let integrate_op_delta_run_marked (t : t) ~mark ods =
-  Metrics.with_span (Db.metrics t.db) "warehouse.refresh" @@ fun () ->
-  let start = Metrics.now (Db.metrics t.db) in
-  let row_ops0 = t.row_ops in
-  let statements = ref 0 in
-  Db.with_txn t.db (fun txn ->
-      List.iter
-        (fun od ->
-          List.iter
-            (fun (op : Op_delta.op) ->
-              incr statements;
-              match Db.exec_sql t.db txn (Dw_sql.Printer.to_string op.Op_delta.stmt) with
-              | Ok _ -> ()
-              | Error e -> invalid_arg ("Warehouse.integrate_op_delta_run: " ^ e))
-            od.Op_delta.ops)
-        ods;
-      mark txn);
-  {
-    txns = 1;
-    statements = !statements;
-    row_ops = t.row_ops - row_ops0;
-    duration = Metrics.now (Db.metrics t.db) -. start;
-  }
-
-let integrate_op_delta_run (t : t) ods = integrate_op_delta_run_marked t ~mark:ignore ods
+type grouping = Per_txn | Run | Batched of batch_policy
 
 let take n xs =
   let rec go n acc = function
@@ -686,54 +528,50 @@ let take n xs =
   in
   go n [] xs
 
-let integrate_op_deltas_batched ?(policy = default_batch_policy) t ods =
-  validate_batch_policy policy;
-  let metrics = Db.metrics t.db in
-  (* the valve: open at max, shrink multiplicatively when reader
-     lock-waits climb, recover additively when they subside *)
-  let target = ref policy.max_batch in
-  let rec go acc = function
-    | [] -> acc
-    | rest ->
-      let run, rest = take !target rest in
-      Metrics.observe metrics "warehouse.batch_size" (float_of_int (List.length run));
-      let acc = add_stats acc (integrate_op_delta_run t run) in
-      let p95 = Metrics.percentile metrics "lock.wait" 0.95 in
-      if p95 > policy.lock_wait_p95_s then target := max policy.min_batch (!target / 2)
-      else target := min policy.max_batch (!target + 1);
-      Metrics.set_gauge metrics "warehouse.batch_size_target" (float_of_int !target);
-      go acc rest
+let integrate_op_deltas ?(grouping = Per_txn) ?(mark = fun _ _ -> ()) (t : t) ods =
+  (* one warehouse transaction per run, re-executing every statement in
+     source commit order; a run boundary is always a source-transaction
+     boundary *)
+  let apply_run run =
+    snd
+    @@ apply t ~entry:"Warehouse.integrate_op_deltas" ~mark:(mark run) (fun exec ->
+           List.iter
+             (fun od ->
+               List.iter
+                 (fun (op : Op_delta.op) -> ignore (exec op.Op_delta.stmt : Db.exec_result))
+                 od.Op_delta.ops)
+             run)
   in
-  go zero_stats ods
+  match grouping with
+  | Per_txn -> List.fold_left (fun acc od -> add_stats acc (apply_run [ od ])) zero_stats ods
+  | Run -> apply_run ods
+  | Batched policy ->
+    validate_batch_policy policy;
+    let metrics = Db.metrics t.db in
+    let valve =
+      Aimd.create metrics ~gauge:"warehouse.batch_size_target"
+        ~floor:policy.min_batch ~ceiling:policy.max_batch
+        ~threshold_s:policy.lock_wait_p95_s
+    in
+    let rec go acc = function
+      | [] -> acc
+      | rest ->
+        let run, rest = take (Aimd.target valve) rest in
+        Metrics.observe metrics "warehouse.batch_size" (float_of_int (List.length run));
+        let acc = add_stats acc (apply_run run) in
+        Aimd.step valve;
+        go acc rest
+    in
+    go zero_stats ods
 
 (* ---------- bootstrap (chunked online load) support ---------- *)
-
-let attach ~db () =
-  Db.set_plan_mode db `Index_preferred;
-  {
-    db;
-    replicas = Hashtbl.create 8;
-    views = Hashtbl.create 8;
-    agg_views = Hashtbl.create 8;
-    viewonly = Hashtbl.create 8;
-    by_source = Hashtbl.create 8;
-    agg_by_source = Hashtbl.create 8;
-    row_ops = 0;
-  }
 
 let attach_replica t ~table =
   if Hashtbl.mem t.replicas table then
     invalid_arg (Printf.sprintf "Warehouse.attach_replica: %s already attached" table);
   match Db.table_opt t.db table with
   | None -> invalid_arg (Printf.sprintf "Warehouse.attach_replica: no table %s" table)
-  | Some tbl ->
-    Hashtbl.add t.replicas table (Table.schema tbl);
-    Db.add_trigger t.db ~table
-      {
-        Trigger.name = "maintain_views__" ^ table;
-        on = [ Trigger.On_insert; Trigger.On_delete; Trigger.On_update ];
-        action = (fun ctx event -> maintain_views t table ctx event);
-      }
+  | Some tbl -> install_replica t ~table (Table.schema tbl)
 
 let view_backing_schema view = backing_schema (Spj_view.output_schema view)
 let agg_view_backing_schema view = backing_schema_keyed (Agg_view.output_schema view)
@@ -744,7 +582,7 @@ let agg_view_backing_schema view = backing_schema_keyed (Agg_view.output_schema 
    in-memory registration was lost *)
 let attach_view t view =
   let name = Spj_view.name view in
-  if Hashtbl.mem t.views name || Hashtbl.mem t.viewonly name then
+  if Hashtbl.mem t.views name then
     invalid_arg (Printf.sprintf "Warehouse.attach_view: %s already attached" name);
   (match Spj_view.validate view with
    | Ok () -> ()
@@ -754,18 +592,7 @@ let attach_view t view =
   let out_schema = Spj_view.output_schema view in
   Hashtbl.add t.views name
     { def = view; backing = name; out_schema; back_schema = backing_schema out_schema };
-  List.iter
-    (fun source ->
-      let cell =
-        match Hashtbl.find_opt t.by_source source with
-        | Some cell -> cell
-        | None ->
-          let cell = ref [] in
-          Hashtbl.add t.by_source source cell;
-          cell
-      in
-      cell := name :: !cell)
-    (Spj_view.source_tables view)
+  List.iter (fun source -> index_by_source t.by_source ~source name) (Spj_view.source_tables view)
 
 let attach_agg_view t view =
   let name = view.Agg_view.name in
@@ -784,15 +611,7 @@ let attach_agg_view t view =
       aout_schema;
       aback_schema = backing_schema_keyed aout_schema;
     };
-  let cell =
-    match Hashtbl.find_opt t.agg_by_source view.Agg_view.table with
-    | Some cell -> cell
-    | None ->
-      let cell = ref [] in
-      Hashtbl.add t.agg_by_source view.Agg_view.table cell;
-      cell
-  in
-  cell := name :: !cell
+  index_by_source t.agg_by_source ~source:view.Agg_view.table name
 
 let int_key schema tuple =
   if Schema.key_arity schema <> 1 then
@@ -801,93 +620,68 @@ let int_key schema tuple =
   | Value.Int k -> k
   | _ -> invalid_arg "Warehouse: bootstrap apply needs an INT primary key"
 
-let exec_checked t txn ctx stmt =
-  match Db.exec t.db txn stmt with
-  | result -> result
-  | exception Invalid_argument e -> invalid_arg (ctx ^ ": " ^ e)
+let replica_schema t ~entry table =
+  match Hashtbl.find_opt t.replicas table with
+  | Some s -> s
+  | None -> invalid_arg (Printf.sprintf "%s: %s is not a replica" entry table)
 
-let upsert_row t txn ctx schema ~table tuple =
-  match exec_checked t txn ctx (update_stmt table schema tuple) with
-  | Db.Affected 0 -> ignore (exec_checked t txn ctx (insert_stmt table tuple) : Db.exec_result)
-  | Db.Affected _ | Db.Rows _ | Db.Created -> ()
+(* build the inserted tuples an INSERT statement describes, in the source
+   schema's column order (the same resolution Db.insert_values performs) *)
+let tuples_of_insert schema columns rows =
+  List.map
+    (fun row ->
+      match columns with
+      | None ->
+        if List.length row <> Schema.arity schema then
+          invalid_arg "Warehouse: INSERT arity mismatch in image integration";
+        Array.of_list row
+      | Some cols ->
+        let tuple = Array.make (Schema.arity schema) Value.Null in
+        (try List.iter2 (fun col v -> tuple.(Schema.index_of schema col) <- v) cols row
+         with Invalid_argument _ ->
+           invalid_arg "Warehouse: INSERT columns/values mismatch in image integration");
+        tuple)
+    rows
 
-let integrate_op_delta_marked (t : t) ~mark od =
-  Metrics.with_span (Db.metrics t.db) "warehouse.refresh" @@ fun () ->
-  let start = Metrics.now (Db.metrics t.db) in
-  let row_ops0 = t.row_ops in
-  let statements = ref 0 in
-  Db.with_txn t.db (fun txn ->
-      List.iter
-        (fun (op : Op_delta.op) ->
-          incr statements;
-          ignore
-            (exec_checked t txn "Warehouse.integrate_op_delta_marked" op.Op_delta.stmt
-              : Db.exec_result))
-        od.Op_delta.ops;
-      mark txn);
-  {
-    txns = 1;
-    statements = !statements;
-    row_ops = t.row_ops - row_ops0;
-    duration = Metrics.now (Db.metrics t.db) -. start;
-  }
+let after_image schema sets before =
+  List.fold_left
+    (fun tuple (col, e) -> Tuple.set schema tuple col (Expr.eval schema before e))
+    before sets
 
 let integrate_op_delta_images (t : t) ~table ~mark od =
-  Metrics.with_span (Db.metrics t.db) "warehouse.refresh" @@ fun () ->
-  let ctx = "Warehouse.integrate_op_delta_images" in
-  let module Ast = Dw_sql.Ast in
-  let schema =
-    match Hashtbl.find_opt t.replicas table with
-    | Some s -> s
-    | None -> invalid_arg (Printf.sprintf "%s: %s is not a replica" ctx table)
-  in
-  let touched = ref [] in
-  let touch tuple = touched := int_key schema tuple :: !touched in
-  Db.with_txn t.db (fun txn ->
-      List.iter
-        (fun (op : Op_delta.op) ->
-          if String.equal (Ast.table_of op.Op_delta.stmt) table then
-            match op.Op_delta.stmt with
-            | Ast.Insert { columns; rows; _ } ->
-              List.iter
-                (fun tuple ->
-                  touch tuple;
-                  upsert_row t txn ctx schema ~table tuple)
-                (tuples_of_insert schema columns rows)
-            | Ast.Update { sets; _ } ->
-              List.iter
-                (fun before ->
-                  let after = viewonly_after_image schema sets before in
-                  touch after;
-                  upsert_row t txn ctx schema ~table after)
-                op.Op_delta.before_images
-            | Ast.Delete _ ->
-              List.iter
-                (fun before ->
-                  touch before;
-                  ignore (exec_checked t txn ctx (delete_stmt table schema before) : Db.exec_result))
-                op.Op_delta.before_images
-            | Ast.Select _ | Ast.Create_table _ -> ())
-        od.Op_delta.ops;
-      mark txn);
-  List.rev !touched
+  let entry = "Warehouse.integrate_op_delta_images" in
+  let schema = replica_schema t ~entry table in
+  fst
+  @@ apply t ~entry ~mark (fun exec ->
+         let touched = ref [] in
+         let write tuple =
+           touched := int_key schema tuple :: !touched;
+           upsert exec ~table schema tuple
+         in
+         List.iter
+           (fun (op : Op_delta.op) ->
+             if String.equal (Ast.table_of op.Op_delta.stmt) table then
+               match op.Op_delta.stmt with
+               | Ast.Insert { columns; rows; _ } ->
+                 List.iter write (tuples_of_insert schema columns rows)
+               | Ast.Update { sets; _ } ->
+                 List.iter (fun before -> write (after_image schema sets before))
+                   op.Op_delta.before_images
+               | Ast.Delete _ ->
+                 List.iter
+                   (fun before ->
+                     touched := int_key schema before :: !touched;
+                     ignore (exec (delete_stmt table schema before) : Db.exec_result))
+                   op.Op_delta.before_images
+               | Ast.Select _ | Ast.Create_table _ -> ())
+           od.Op_delta.ops;
+         List.rev !touched)
 
 let load_chunk (t : t) ~table ~skip ~mark rows =
-  Metrics.with_span (Db.metrics t.db) "warehouse.refresh" @@ fun () ->
-  let ctx = "Warehouse.load_chunk" in
-  let schema =
-    match Hashtbl.find_opt t.replicas table with
-    | Some s -> s
-    | None -> invalid_arg (Printf.sprintf "%s: %s is not a replica" ctx table)
-  in
-  let loaded = ref 0 in
-  Db.with_txn t.db (fun txn ->
-      List.iter
-        (fun tuple ->
-          if not (skip (int_key schema tuple)) then begin
-            incr loaded;
-            upsert_row t txn ctx schema ~table tuple
-          end)
-        rows;
-      mark txn);
-  !loaded
+  let entry = "Warehouse.load_chunk" in
+  let schema = replica_schema t ~entry table in
+  let kept = List.filter (fun tuple -> not (skip (int_key schema tuple))) rows in
+  fst
+  @@ apply t ~entry ~mark (fun exec ->
+         List.iter (upsert exec ~table schema) kept;
+         List.length kept)

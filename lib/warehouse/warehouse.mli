@@ -7,11 +7,20 @@
       record becomes its own SQL-level operation — an insert per Insert,
       a keyed delete per Delete, and a keyed delete {e plus} an insert
       per Update (before/after images);
-    - {!integrate_op_delta}: each source transaction's Op-Delta is applied
-      as its own short warehouse transaction by {e re-executing the
-      original statements} against the replicas — one UPDATE statement
-      updates its x rows in place, which is where the ~70 % shorter
-      update maintenance window comes from.
+    - {!integrate_op_deltas}: by default each source transaction's
+      Op-Delta is applied as its own short warehouse transaction by
+      {e re-executing the original statements} against the replicas —
+      one UPDATE statement updates its x rows in place, which is where
+      the ~70 % shorter update maintenance window comes from.
+
+    Both paths, and the bootstrap primitives {!integrate_op_delta_images}
+    and {!load_chunk}, run on one apply core: one warehouse transaction
+    with the [warehouse.refresh] span, a registry-clock timer, an
+    optional in-transaction progress mark, and statements executed as
+    ASTs (Op-Delta text is parsed once, at transport decode).  Any
+    failure, an unknown table included, raises
+    [Invalid_argument "Warehouse.<entry>: ..."] and rolls the
+    transaction back.
 
     Views are bags materialized with multiplicity counts.  Projected view
     columns must be non-nullable (they form the backing table's key). *)
@@ -80,7 +89,7 @@ type stats = {
   txns : int;        (** warehouse transactions used *)
   statements : int;  (** SQL-level operations executed *)
   row_ops : int;     (** row-level modifications (replica + views) *)
-  duration : float;  (** wall-clock seconds *)
+  duration : float;  (** seconds on the warehouse registry's clock *)
 }
 
 val zero_stats : stats
@@ -93,39 +102,31 @@ val integrate_value_delta : t -> Delta.t -> stats
 (** One batch transaction.  [Upsert] entries integrate as keyed
     update-or-insert (the timestamp method's integration path). *)
 
-val integrate_op_delta : t -> Op_delta.t -> stats
-(** One transaction re-executing the Op-Delta's statements.  Table names
-    in the statements must match replica names (apply a
-    {!Dw_core.Transform} rule first if schemas differ). *)
+(** {2 Op-Delta apply and micro-batching}
 
-val integrate_op_deltas : t -> Op_delta.t list -> stats
-(** Fold over {!integrate_op_delta}, summing stats — the one-warehouse-
-    transaction-per-source-transaction baseline.  Because each source
-    transaction is one warehouse transaction, its before-images publish
-    atomically at commit: a concurrent snapshot reader sees each source
-    transaction's effects (replicas {e and} derived views) in full or
-    not at all — never a half-applied refresh. *)
+    {!integrate_op_deltas} re-executes every statement in source commit
+    order, one warehouse transaction per {e run} of consecutive source
+    transactions.  The [grouping] decides the runs:
 
-(** {2 Micro-batched apply} — amortize warehouse commit cost over runs of
-    consecutive source transactions.
+    - [Per_txn] (default): one run per source transaction — the paper's
+      online path.  Each source transaction's effects (replicas {e and}
+      derived views) publish atomically at commit, so a concurrent
+      snapshot reader never sees a half-applied refresh;
+    - [Run]: the whole list as one run ([stats.txns = 1]);
+    - [Batched policy]: runs whose length a {b backpressure valve}
+      ({!Dw_util.Aimd}) governs.  It opens at [max_batch], halves
+      (floored at [min_batch]) whenever the warehouse registry's
+      [lock.wait] p95 exceeds [lock_wait_p95_s] — long maintenance
+      transactions are what make concurrent readers queue — and
+      recovers additively (+1) while lock-waits stay low.  Each applied
+      run's size is observed into the [warehouse.batch_size] histogram
+      and the current target into the [warehouse.batch_size_target]
+      gauge.
 
-    {!integrate_op_deltas_batched} slices the op-delta stream into runs
-    and applies each run as {e one} warehouse transaction, re-executing
-    every statement in source commit order.  Whole source transactions
-    only — a run boundary is always a source-transaction boundary, so a
-    crash mid-run leaves the warehouse at a source-transaction boundary
-    and the online-refresh invariant (readers see a prefix of the source
-    history) is preserved; what is given up is only refresh granularity:
-    readers observe up to a run of source transactions at once.
-
-    The run length is governed by a {b backpressure valve}: it opens at
-    [max_batch], shrinks multiplicatively (halves, floored at
-    [min_batch]) whenever the warehouse registry's [lock.wait] p95
-    exceeds [lock_wait_p95_s] — long maintenance transactions are what
-    make concurrent readers queue — and recovers additively (+1) while
-    lock-waits stay low.  Each applied run's size is observed into the
-    [warehouse.batch_size] histogram and the current target into the
-    [warehouse.batch_size_target] gauge. *)
+    A run boundary is always a source-transaction boundary, so every
+    grouping reaches the same final state and a crash mid-run leaves the
+    warehouse at a source-transaction boundary; what batching gives up is
+    only refresh granularity. *)
 
 type batch_policy = {
   max_batch : int;  (** run-length ceiling (>= min_batch) *)
@@ -141,57 +142,25 @@ val validate_batch_policy : batch_policy -> unit
 (** Raises [Invalid_argument] on a non-positive floor, ceiling below
     floor, or negative/NaN threshold. *)
 
-val integrate_op_delta_run : t -> Op_delta.t list -> stats
-(** Apply a run of consecutive source transactions as one warehouse
-    transaction ([stats.txns = 1]).  Building block of the batched
-    integrator; callers must pass whole, consecutive source
-    transactions. *)
+type grouping = Per_txn | Run | Batched of batch_policy
 
-val integrate_op_delta_run_marked : t -> mark:(Db.txn -> unit) -> Op_delta.t list -> stats
-(** {!integrate_op_delta_run} plus a [mark] callback invoked inside the
-    same warehouse transaction, after the run's statements — the
-    partitioned refresh ({!Partitioned.refresh}) stores its per-shard
-    applied-through transaction id there, so the run and its progress
-    record commit or roll back together (exactly-once under
-    re-delivery of the same delta stream after a crash). *)
-
-val integrate_op_deltas_batched : ?policy:batch_policy -> t -> Op_delta.t list -> stats
-(** Apply the stream in valve-governed runs (see above).  Equivalent to
-    {!integrate_op_deltas} in final warehouse state for any policy —
-    only transaction boundaries differ. *)
-
-(** {2 Replica-less (view-only) maintenance} — the paper's hybrid case:
-    "for some cases, a hybrid between a partial value delta (the before
-    image portion only) and the Op-Delta is necessary to refresh the data
-    warehouse in a self-maintainable manner."
-
-    A view-only warehouse stores {e no} detail data: select-project views
-    are maintained straight from the captured operations — inserts from
-    the INSERT statements' own tuples, deletes/updates from the before
-    images the hybrid capture shipped
-    ({!Dw_core.Opdelta_capture.create} with [~replicas:false]). *)
-
-val define_viewonly_view : t -> Spj_view.t -> unit
-(** Select-project views only (join views are not self-maintainable
-    without replicas — {!Dw_core.Self_maintain}); no replica needed, the
-    view starts empty.  Raises [Invalid_argument] on a Join view. *)
-
-val integrate_op_delta_viewonly : t -> Op_delta.t -> stats
-(** Apply one hybrid Op-Delta to every view-only view.  Deletes/updates
-    are driven entirely by the ops' before images; a delete/update
-    captured {e without} hybrid mode carries none and is treated as
-    affecting zero rows (indistinguishable from a genuinely empty match),
-    so the capture side must run with [~replicas:false] and a view set —
-    {!Dw_core.Opdelta_capture.create}. *)
-
-val viewonly_view_rows : t -> string -> (Tuple.t * int) list
-(** Materialized rows of a view-only view, with multiplicities. *)
+val integrate_op_deltas :
+  ?grouping:grouping -> ?mark:(Op_delta.t list -> Db.txn -> unit) -> t -> Op_delta.t list -> stats
+(** Apply the stream run by run (see above), summing stats.  [mark run]
+    runs inside each run's transaction, after its statements — the
+    bootstrap stores its applied-through transaction id there and the
+    partitioned refresh ({!Partitioned.refresh}) its per-shard
+    watermark, so the run and its progress record commit or roll back
+    together (exactly-once under re-delivery).  If [mark] raises, the
+    run's statements roll back with it.  Table names in the statements
+    must match replica names (apply a {!Dw_core.Transform} rule first if
+    schemas differ).  Raises [Invalid_argument] on an invalid policy. *)
 
 (** {2 Bootstrap (chunked online load) support} — the warehouse side of
-    {!Dw_etl.Bootstrap}: re-adopting a crashed warehouse, applying delta
-    transactions with a progress mark committed atomically alongside the
-    data, and the DBLog window primitives (image-based apply reporting
-    touched keys, chunk upsert with a dedup filter). *)
+    {!Dw_etl.Bootstrap}: re-adopting a crashed warehouse and the DBLog
+    window primitives (image-based apply reporting touched keys, chunk
+    upsert with a dedup filter).  Outside a window the bootstrap applies
+    deltas with {!integrate_op_deltas} and a [mark]. *)
 
 val attach : db:Db.t -> unit -> t
 (** Wrap an existing (typically {!Db.reopen}ed) database as a warehouse
@@ -226,12 +195,6 @@ val view_backing_schema : Spj_view.t -> Schema.t
 val agg_view_backing_schema : Dw_core.Agg_view.t -> Schema.t
 (** Backing-table schema for an aggregate view (group columns as key,
     aggregate columns, [__count] group cardinality). *)
-
-val integrate_op_delta_marked : t -> mark:(Db.txn -> unit) -> Op_delta.t -> stats
-(** {!integrate_op_delta}, plus a [mark] callback invoked inside the same
-    warehouse transaction — the bootstrap stores its applied-through
-    transaction id there, so the delta and the progress record commit or
-    roll back together (exactly-once under queue redelivery). *)
 
 val integrate_op_delta_images :
   t -> table:string -> mark:(Db.txn -> unit) -> Op_delta.t -> int list

@@ -249,7 +249,7 @@ let batched_apply_uses_fewer_txns () =
   let seq = Warehouse.integrate_op_deltas wh1 ods in
   let wh2 = mk_wh ~rows in
   let policy = { Warehouse.default_batch_policy with Warehouse.max_batch = 4 } in
-  let bat = Warehouse.integrate_op_deltas_batched ~policy wh2 ods in
+  let bat = Warehouse.integrate_op_deltas ~grouping:(Warehouse.Batched policy) wh2 ods in
   check Alcotest.int "sequential: one txn per source txn" 12 seq.Warehouse.txns;
   check Alcotest.int "batched: one txn per run of 4" 3 bat.Warehouse.txns;
   check Alcotest.int "same statements either way" seq.Warehouse.statements
@@ -268,7 +268,7 @@ let valve_shrinks_under_lock_waits () =
     Metrics.observe m "lock.wait" 0.050
   done;
   let policy = { Warehouse.max_batch = 8; min_batch = 1; lock_wait_p95_s = 0.010 } in
-  ignore (Warehouse.integrate_op_deltas_batched ~policy wh ods : Warehouse.stats);
+  ignore (Warehouse.integrate_op_deltas ~grouping:(Warehouse.Batched policy) wh ods : Warehouse.stats);
   check (Alcotest.float 0.001) "valve pinned at the floor" 1.0
     (Metrics.gauge m "warehouse.batch_size_target")
 
@@ -278,7 +278,7 @@ let valve_stays_open_without_contention () =
   let wh = mk_wh ~rows in
   let m = Db.metrics (Warehouse.db wh) in
   let policy = { Warehouse.max_batch = 8; min_batch = 1; lock_wait_p95_s = 0.010 } in
-  ignore (Warehouse.integrate_op_deltas_batched ~policy wh ods : Warehouse.stats);
+  ignore (Warehouse.integrate_op_deltas ~grouping:(Warehouse.Batched policy) wh ods : Warehouse.stats);
   check (Alcotest.float 0.001) "valve at the ceiling" 8.0
     (Metrics.gauge m "warehouse.batch_size_target")
 
@@ -295,8 +295,9 @@ let batch_policy_validates () =
   with Invalid_argument _ -> ()
 
 (* the equivalence property: for ANY op-delta stream and ANY batch size,
-   batched apply produces the same warehouse state as one-at-a-time
-   apply — only the transaction boundaries differ *)
+   batched apply — and the whole stream as one run — produces the same
+   warehouse state as one-at-a-time apply; only the transaction
+   boundaries differ *)
 let prop_batched_equals_sequential =
   QCheck2.Test.make
     ~name:"batched apply = one-at-a-time apply for random op-delta streams" ~count:25
@@ -306,18 +307,45 @@ let prop_batched_equals_sequential =
       let ods = ods_of_mix ~rows ~txns ~seed in
       let wh1 = mk_wh ~rows in
       let seq = Warehouse.integrate_op_deltas wh1 ods in
-      let wh2 = mk_wh ~rows in
       let policy = { Warehouse.default_batch_policy with Warehouse.max_batch } in
-      let bat = Warehouse.integrate_op_deltas_batched ~policy wh2 ods in
-      let same_rows =
-        Warehouse.replica_rows wh1 "parts" = Warehouse.replica_rows wh2 "parts"
+      let check_grouping name grouping ~max_txns =
+        let wh2 = mk_wh ~rows in
+        let bat = Warehouse.integrate_op_deltas ~grouping wh2 ods in
+        if Warehouse.replica_rows wh1 "parts" <> Warehouse.replica_rows wh2 "parts" then
+          QCheck2.Test.fail_reportf "seed %d %s: replica contents diverged" seed name
+        else if bat.Warehouse.statements <> seq.Warehouse.statements then
+          QCheck2.Test.fail_reportf "seed %d %s: %d statements, sequential %d" seed name
+            bat.Warehouse.statements seq.Warehouse.statements
+        else if bat.Warehouse.txns > max_txns then
+          QCheck2.Test.fail_reportf "seed %d %s: used %d txns (> %d)" seed name
+            bat.Warehouse.txns max_txns
+        else true
       in
-      if not same_rows then
-        QCheck2.Test.fail_reportf "seed %d batch %d: replica contents diverged" seed max_batch
-      else if bat.Warehouse.txns > seq.Warehouse.txns then
-        QCheck2.Test.fail_reportf "seed %d batch %d: batched used more txns (%d > %d)" seed
-          max_batch bat.Warehouse.txns seq.Warehouse.txns
-      else true)
+      check_grouping (Printf.sprintf "batch %d" max_batch) (Warehouse.Batched policy)
+        ~max_txns:seq.Warehouse.txns
+      && check_grouping "one run" Warehouse.Run ~max_txns:1)
+
+(* a mark runs inside its run's transaction: if it raises, the run's
+   statements roll back with it *)
+let failing_mark_rolls_back_run () =
+  let rows = 40 in
+  let ods = ods_of_mix ~rows ~txns:6 ~seed:13 in
+  let wh = mk_wh ~rows in
+  let sorted_rows () = List.sort Tuple.compare (Warehouse.replica_rows wh "parts") in
+  let before = sorted_rows () in
+  let marked = ref [] in
+  let mark run (_ : Db.txn) =
+    marked := List.map (fun od -> od.Op_delta.txn_id) run;
+    failwith "mark failed"
+  in
+  (match Warehouse.integrate_op_deltas ~grouping:Warehouse.Run ~mark wh ods with
+   | (_ : Warehouse.stats) -> Alcotest.fail "expected the mark's failure"
+   | exception Failure _ -> ());
+  check (Alcotest.list Alcotest.int) "mark saw the whole run" [ 0; 1; 2; 3; 4; 5 ] !marked;
+  check Alcotest.bool "run rolled back" true (sorted_rows () = before);
+  (* the warehouse is still usable: the same run applies without the mark *)
+  ignore (Warehouse.integrate_op_deltas ~grouping:Warehouse.Run wh ods : Warehouse.stats);
+  check Alcotest.bool "clean re-apply changes the replica" true (sorted_rows () <> before)
 
 let suite =
   [
@@ -337,5 +365,6 @@ let suite =
     test "valve shrinks under lock waits" valve_shrinks_under_lock_waits;
     test "valve stays open without contention" valve_stays_open_without_contention;
     test "batch policy validates" batch_policy_validates;
+    test "failing mark rolls back its run" failing_mark_rolls_back_run;
     QCheck_alcotest.to_alcotest prop_batched_equals_sequential;
   ]

@@ -245,7 +245,10 @@ let olap_snapshot_never_blocks () =
     {
       Scheduler.name = "integrator";
       start_at = 0;
-      work = (fun () -> ignore (Warehouse.integrate_op_deltas_batched wh ods : Warehouse.stats));
+      work =
+        (fun () ->
+          let grouping = Warehouse.Batched Warehouse.default_batch_policy in
+          ignore (Warehouse.integrate_op_deltas ~grouping wh ods : Warehouse.stats));
     }
   in
   let readers =
@@ -315,7 +318,7 @@ let batched_equals_sequential_under_readers () =
     let states = ref [ sorted_rows (Warehouse.replica_rows wh_p "parts") ] in
     List.iter
       (fun od ->
-        ignore (Warehouse.integrate_op_delta wh_p od : Warehouse.stats);
+        ignore (Warehouse.integrate_op_deltas wh_p [ od ] : Warehouse.stats);
         states := sorted_rows (Warehouse.replica_rows wh_p "parts") :: !states)
       ods;
     !states
@@ -325,7 +328,10 @@ let batched_equals_sequential_under_readers () =
     {
       Scheduler.name = "integrator";
       start_at = 0;
-      work = (fun () -> ignore (Warehouse.integrate_op_deltas_batched wh ods : Warehouse.stats));
+      work =
+        (fun () ->
+          let grouping = Warehouse.Batched Warehouse.default_batch_policy in
+          ignore (Warehouse.integrate_op_deltas ~grouping wh ods : Warehouse.stats));
     }
   in
   let readers =

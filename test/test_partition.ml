@@ -281,6 +281,32 @@ let valve_independence () =
       check Alcotest.int (Printf.sprintf "shard %d watermark" i) last wms.(i))
     buckets
 
+(* ---------- one clock for fleet timeouts ---------- *)
+
+(* shard refresh tasks are timed on the fleet registry's clock, the one
+   the breakers dwell on: with a Sim_clock that never moves, no refresh
+   can breach even a tiny timeout, however slow the host *)
+let timeout_reads_fleet_clock () =
+  let spec = Partition.make ~table:"parts" ~key_column:"part_id" (Partition.Range [ 50 ]) in
+  let fleet = Metrics.create () in
+  Metrics.use_sim_clock fleet (Dw_util.Sim_clock.create ());
+  let health = { Partitioned.default_health_config with Partitioned.refresh_timeout_s = 1e-9 } in
+  let pw = Partitioned.create ~health ~metrics:fleet ~spec ~name:"clock" () in
+  Partitioned.add_replica pw ~table:"parts" ~schema:Workload.parts_schema;
+  Partitioned.load_replica pw ~table:"parts" (load_rows ~rows:100 ~seed:3);
+  let buckets, (_ : Stage.stats) = Stage.split ~spec (mix_deltas ~seed:5 ~rows:100 ~txns:20) in
+  let (_ : Warehouse.stats), outcomes =
+    Domain_pool.with_pool ~domains:2 (fun pool -> Partitioned.refresh_guarded ~pool pw buckets)
+  in
+  check Alcotest.int "no timeout breaches" 0 (Metrics.get fleet "health.timeout_breaches");
+  Array.iteri
+    (fun i outcome ->
+      match outcome with
+      | Partitioned.Applied _ -> ()
+      | Partitioned.Skipped _ | Partitioned.Failed _ ->
+        Alcotest.failf "shard %d was not applied" i)
+    outcomes
+
 (* ---------- guard rails ---------- *)
 
 let rejects_join_view () =
@@ -323,6 +349,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_partitioned_equals_sequential;
     test "crash mid-refresh recovers" crash_recovery;
     test "per-partition valve independence" valve_independence;
+    test "refresh timeout reads the fleet clock" timeout_reads_fleet_clock;
     test "rejects join views" rejects_join_view;
     test "rejects mismatched leading key" rejects_wrong_leading_key;
   ]

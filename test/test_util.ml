@@ -542,6 +542,54 @@ let breaker_reset_and_force_open () =
   check Alcotest.bool "allowed after reset" true (Breaker.allow b);
   check Alcotest.int "counts cleared" 0 (Breaker.consecutive_failures b)
 
+(* ---------- aimd ---------- *)
+
+module Aimd = Dw_util.Aimd
+
+let aimd_halves_to_floor_then_recovers () =
+  let m = Metrics.create () in
+  let v = Aimd.create m ~gauge:"valve.target" ~floor:3 ~ceiling:20 ~threshold_s:0.010 in
+  check Alcotest.int "opens at the ceiling" 20 (Aimd.target v);
+  for _ = 1 to 20 do
+    Metrics.observe m "lock.wait" 0.050
+  done;
+  List.iter
+    (fun want ->
+      Aimd.step v;
+      check Alcotest.int "halves, floored" want (Aimd.target v))
+    [ 10; 5; 3; 3 ];
+  check (Alcotest.float 0.0) "gauge follows the target" 3.0 (Metrics.gauge m "valve.target");
+  (* lock waits gone: +1 per step, capped at the ceiling *)
+  Metrics.reset m;
+  Aimd.step v;
+  check Alcotest.int "additive recovery" 4 (Aimd.target v);
+  for _ = 1 to 30 do
+    Aimd.step v
+  done;
+  check Alcotest.int "capped at the ceiling" 20 (Aimd.target v);
+  check (Alcotest.float 0.0) "gauge at the ceiling" 20.0 (Metrics.gauge m "valve.target")
+
+let aimd_threshold_is_strict () =
+  (* a p95 exactly at the threshold is not pressure: no shrink *)
+  let m = Metrics.create () in
+  let v = Aimd.create m ~gauge:"valve.target" ~floor:1 ~ceiling:8 ~threshold_s:0.010 in
+  for _ = 1 to 20 do
+    Metrics.observe m "lock.wait" 0.010
+  done;
+  check (Alcotest.float 0.0) "p95 at the threshold" 0.010 (Metrics.percentile m "lock.wait" 0.95);
+  Aimd.step v;
+  check Alcotest.int "no shrink at equality" 8 (Aimd.target v)
+
+let aimd_rejects_bad_bounds () =
+  let m = Metrics.create () in
+  let rejects floor ceiling =
+    match Aimd.create m ~gauge:"g" ~floor ~ceiling ~threshold_s:0.0 with
+    | (_ : Aimd.t) -> Alcotest.failf "accepted floor %d ceiling %d" floor ceiling
+    | exception Invalid_argument _ -> ()
+  in
+  rejects 0 4;
+  rejects 5 4
+
 let suite =
   [
     test "prng deterministic" prng_deterministic;
@@ -586,4 +634,7 @@ let suite =
     test "breaker dwell then probe heals" breaker_dwell_then_probe_heals;
     test "breaker failed probe doubles the dwell" breaker_failed_probe_doubles_dwell;
     test "breaker reset and force_open" breaker_reset_and_force_open;
+    test "aimd halves to the floor, recovers to the ceiling" aimd_halves_to_floor_then_recovers;
+    test "aimd p95 at the threshold does not shrink" aimd_threshold_is_strict;
+    test "aimd rejects bad bounds" aimd_rejects_bad_bounds;
   ]

@@ -20,6 +20,9 @@ module Prng = Dw_util.Prng
 let check = Alcotest.check
 let test name f = Alcotest.test_case name `Quick f
 
+(* the paper's online path: one source transaction, one warehouse txn *)
+let integrate_one wh od = Warehouse.integrate_op_deltas wh [ od ]
+
 let parts_schema = Workload.parts_schema
 
 let supply_schema =
@@ -117,7 +120,7 @@ let view_validation () =
 let incremental_sp_after_ops () =
   let wh = mk_wh ~views:[ sp_view ] () in
   let stats =
-    Warehouse.integrate_op_delta wh
+    integrate_one wh
       (Op_delta.make ~txn_id:1
          (Workload.insert_parts_txn ~first_id:100 ~size:5 ~day:0 ()
           @ [ Workload.update_parts_stmt ~first_id:1 ~size:10;
@@ -129,7 +132,7 @@ let incremental_sp_after_ops () =
 let incremental_join_after_ops () =
   let wh = mk_wh ~views:[ join_view ] () in
   ignore
-    (Warehouse.integrate_op_delta wh
+    (integrate_one wh
        (Op_delta.make ~txn_id:1
           [ Workload.update_parts_stmt ~first_id:1 ~size:20;
             Workload.delete_parts_stmt ~first_id:30 ~size:10 ]));
@@ -177,7 +180,7 @@ let integrators_converge () =
       ignore (Db.exec src txn del : Db.exec_result));
   let vd = Dw_core.Trigger_extract.collect src handle in
   ignore (Warehouse.integrate_value_delta wh_value vd);
-  ignore (Warehouse.integrate_op_delta wh_op od);
+  ignore (Warehouse.integrate_op_deltas wh_op [ od ]);
   let sort l = List.sort Tuple.compare l in
   let rows_of wh = sort (Warehouse.replica_rows wh "parts") in
   check Alcotest.int "same cardinality" (List.length (rows_of wh_value))
@@ -187,6 +190,63 @@ let integrators_converge () =
     (rows_of wh_value) (rows_of wh_op);
   check Alcotest.bool "value wh views ok" true (views_agree wh_value "small_qty");
   check Alcotest.bool "op wh views ok" true (views_agree wh_op "parts_by_supplier")
+
+(* every entry point reports a delta naming a table the warehouse lacks
+   as [Invalid_argument "<entry>: ..."], never a bare [Not_found] *)
+let unknown_table_errors () =
+  (* a real change first, so the check below also sees the rollback *)
+  let nosuch_od =
+    Op_delta.make ~txn_id:1
+      [ Workload.delete_parts_stmt ~first_id:1 ~size:5;
+        Dw_sql.Ast.Delete { table = "nosuch"; where = None } ]
+  in
+  let nosuch_vd =
+    Delta.make ~table:"nosuch" ~schema:parts_schema
+      [ Delta.Insert (Workload.gen_part (Prng.create ~seed:1) ~id:1 ~day:0) ]
+  in
+  let batched = Warehouse.Batched Warehouse.default_batch_policy in
+  let ignore_stats (_ : Warehouse.stats) = () in
+  let cases =
+    [
+      ( "Warehouse.integrate_value_delta",
+        fun wh -> ignore_stats (Warehouse.integrate_value_delta wh nosuch_vd) );
+      ("Warehouse.integrate_op_deltas", fun wh -> ignore_stats (integrate_one wh nosuch_od));
+      ( "Warehouse.integrate_op_deltas",
+        fun wh ->
+          ignore_stats (Warehouse.integrate_op_deltas ~grouping:Warehouse.Run wh [ nosuch_od ]) );
+      ( "Warehouse.integrate_op_deltas",
+        fun wh -> ignore_stats (Warehouse.integrate_op_deltas ~grouping:batched wh [ nosuch_od ])
+      );
+      ( "Warehouse.integrate_op_deltas",
+        fun wh ->
+          ignore_stats (Warehouse.integrate_op_deltas ~mark:(fun _ _ -> ()) wh [ nosuch_od ]) );
+      ( "Warehouse.integrate_op_delta_images",
+        fun wh ->
+          ignore
+            (Warehouse.integrate_op_delta_images wh ~table:"nosuch" ~mark:ignore nosuch_od
+              : int list) );
+      ( "Warehouse.load_chunk",
+        fun wh ->
+          ignore
+            (Warehouse.load_chunk wh ~table:"nosuch" ~skip:(fun _ -> false) ~mark:ignore []
+              : int) );
+    ]
+  in
+  List.iter
+    (fun (entry, run) ->
+      let wh = mk_wh () in
+      match run wh with
+      | () -> Alcotest.failf "%s accepted an unknown table" entry
+      | exception Invalid_argument msg ->
+        let prefix = entry ^ ": " in
+        check Alcotest.bool (Printf.sprintf "%s prefix in %S" entry msg) true
+          (String.length msg >= String.length prefix
+           && String.sub msg 0 (String.length prefix) = prefix);
+        check Alcotest.bool (Printf.sprintf "%s names the table in %S" entry msg) true
+          (Str.string_match (Str.regexp ".*nosuch") msg 0);
+        check Alcotest.int (entry ^ " left the replica alone") 50
+          (List.length (Warehouse.replica_rows wh "parts")))
+    cases
 
 (* qcheck: both integration paths converge on random workloads *)
 let prop_integrators_converge =
@@ -234,7 +294,7 @@ let prop_views_incremental =
       List.iteri
         (fun i op ->
           ignore
-            (Warehouse.integrate_op_delta wh
+            (integrate_one wh
                (Op_delta.make ~txn_id:i (Workload.op_to_stmts ~day:0 op))))
         ops;
       views_agree wh "small_qty" && views_agree wh "parts_by_supplier")
@@ -301,7 +361,7 @@ let agg_materialize_and_maintain () =
   check Alcotest.bool "initial materialization" true (agg_views_agree wh "qty_stats");
   (* inserts, deletes, updates via op-delta integration *)
   ignore
-    (Warehouse.integrate_op_delta wh
+    (integrate_one wh
        (Op_delta.make ~txn_id:1
           (Workload.insert_parts_txn ~first_id:200 ~size:10 ~day:0 ()
            @ [ Workload.update_parts_stmt ~first_id:1 ~size:15;
@@ -339,7 +399,7 @@ let agg_update_moves_groups () =
   Warehouse.define_agg_view wh qty_by_price_band;
   (* drive several rows into one qty bucket *)
   ignore
-    (Warehouse.integrate_op_delta wh
+    (integrate_one wh
        (Op_delta.make ~txn_id:1
           [ Dw_sql.Ast.Update
               { table = "parts";
@@ -367,103 +427,10 @@ let prop_agg_incremental =
       List.iteri
         (fun i op ->
           ignore
-            (Warehouse.integrate_op_delta wh
+            (integrate_one wh
                (Op_delta.make ~txn_id:i (Workload.op_to_stmts ~day:0 op))))
         ops;
       agg_views_agree wh "qty_stats")
-
-(* ---------- replica-less (hybrid) maintenance ---------- *)
-
-module Opdelta_capture = Dw_core.Opdelta_capture
-
-let viewonly_view =
-  Spj_view.Select_project
-    {
-      name = "vo_small_qty";
-      table = "parts";
-      schema = parts_schema;
-      filter = Some (Expr.Cmp (Expr.Lt, Expr.Col "qty", Expr.Lit (Value.Int 500)));
-      project =
-        [ proj Spj_view.L "part_id" "part_id"; proj Spj_view.L "qty" "qty" ];
-    }
-
-(* run a workload through a hybrid capture at the source, feed the hybrid
-   op-deltas to a replica-less warehouse, and compare its view against a
-   conventional replica-based warehouse fed the same captures *)
-let hybrid_capture_workload ~seed ~txns =
-  let src = Db.create ~vfs:(Vfs.in_memory ()) ~name:"src" () in
-  let _ = Workload.create_parts_table src in
-  Db.set_day src 0;
-  let cap =
-    Opdelta_capture.create ~views:[ viewonly_view ] ~replicas:false src
-      ~sink:(Opdelta_capture.To_file "hybrid.oplog")
-  in
-  let submit stmts =
-    match Opdelta_capture.exec_txn cap stmts with
-    | Ok _ -> ()
-    | Error e -> Alcotest.fail e
-  in
-  (* seed through the wrapper so both warehouses can start empty *)
-  submit (Workload.insert_parts_txn ~first_id:1 ~size:40 ~day:0 ());
-  let rng = Prng.create ~seed in
-  List.iter
-    (fun op -> submit (Workload.op_to_stmts ~day:0 op))
-    (Workload.gen_mix rng ~existing_ids:40 ~txns ~max_txn_size:5);
-  Opdelta_capture.captured cap
-
-let viewonly_matches_replica_based ~seed () =
-  let ods = hybrid_capture_workload ~seed ~txns:12 in
-  (* warehouse A: replica-less, hybrid integration *)
-  let wh_a = Warehouse.create ~vfs:(Vfs.in_memory ()) ~name:"dwa" () in
-  Warehouse.define_viewonly_view wh_a viewonly_view;
-  List.iter
-    (fun od -> ignore (Warehouse.integrate_op_delta_viewonly wh_a od : Warehouse.stats))
-    ods;
-  (* warehouse B: conventional replica + the same view definition *)
-  let wh_b = Warehouse.create ~vfs:(Vfs.in_memory ()) ~name:"dwb" () in
-  Warehouse.add_replica wh_b ~table:"parts" ~schema:parts_schema;
-  Warehouse.define_view wh_b
-    (Spj_view.Select_project
-       { name = "vo_small_qty"; table = "parts"; schema = parts_schema;
-         filter = Some (Expr.Cmp (Expr.Lt, Expr.Col "qty", Expr.Lit (Value.Int 500)));
-         project = [ proj Spj_view.L "part_id" "part_id"; proj Spj_view.L "qty" "qty" ] });
-  List.iter
-    (fun od -> ignore (Warehouse.integrate_op_delta wh_b od : Warehouse.stats))
-    ods;
-  let a = Warehouse.viewonly_view_rows wh_a "vo_small_qty" in
-  let b = Warehouse.view_rows wh_b "vo_small_qty" in
-  check Alcotest.int "same view cardinality" (List.length b) (List.length a);
-  List.iter2
-    (fun (ra, ca) (rb, cb) ->
-      check Alcotest.bool "same view row" true (Tuple.equal ra rb && ca = cb))
-    a b
-
-let viewonly_basic = viewonly_matches_replica_based ~seed:3
-let viewonly_alt = viewonly_matches_replica_based ~seed:1234
-
-let viewonly_bare_delete_is_noop () =
-  (* a delete without before images is indistinguishable from one that
-     matched zero rows: it must change nothing *)
-  let wh = Warehouse.create ~vfs:(Vfs.in_memory ()) ~name:"dw" () in
-  Warehouse.define_viewonly_view wh viewonly_view;
-  ignore
-    (Warehouse.integrate_op_delta_viewonly wh
-       (Op_delta.make ~txn_id:1 (Workload.insert_parts_txn ~first_id:1 ~size:3 ~day:0 ()))
-      : Warehouse.stats);
-  let before = Warehouse.viewonly_view_rows wh "vo_small_qty" in
-  ignore
-    (Warehouse.integrate_op_delta_viewonly wh
-       (Op_delta.make ~txn_id:2 [ Workload.delete_parts_stmt ~first_id:1 ~size:3 ])
-      : Warehouse.stats);
-  check Alcotest.int "unchanged" (List.length before)
-    (List.length (Warehouse.viewonly_view_rows wh "vo_small_qty"))
-
-let viewonly_rejects_join () =
-  let wh = Warehouse.create ~vfs:(Vfs.in_memory ()) ~name:"dw" () in
-  try
-    Warehouse.define_viewonly_view wh join_view;
-    Alcotest.fail "expected join rejection"
-  with Invalid_argument _ -> ()
 
 (* ---------- OLAP queries ---------- *)
 
@@ -547,6 +514,7 @@ let suite =
     test "incremental join" incremental_join_after_ops;
     test "value delta upsert" value_delta_upsert_semantics;
     test "integrators converge" integrators_converge;
+    test "unknown table errors name the entry point" unknown_table_errors;
     QCheck_alcotest.to_alcotest prop_views_incremental;
     QCheck_alcotest.to_alcotest prop_integrators_converge;
     test "agg validate" agg_validate;
@@ -555,10 +523,6 @@ let suite =
     test "agg min/max rescan on delete" agg_minmax_rescan_on_delete;
     test "agg update moves groups" agg_update_moves_groups;
     QCheck_alcotest.to_alcotest prop_agg_incremental;
-    test "view-only hybrid matches replica-based" viewonly_basic;
-    test "view-only hybrid matches replica-based (alt seed)" viewonly_alt;
-    test "view-only bare delete is no-op" viewonly_bare_delete_is_noop;
-    test "view-only rejects join views" viewonly_rejects_join;
     test "olap standard mix" olap_standard_mix;
     test "olap rejects dml" olap_rejects_dml;
     test "sim: batch blocks queries" sim_batch_blocks_queries;
