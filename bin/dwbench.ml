@@ -1,6 +1,5 @@
 (* dwbench — command-line driver for the delta-extraction experiment
-   suite (cmdliner interface over the same experiments bench/main.exe
-   runs).
+   suite.
 
      dwbench run t1 t2 --scale 2
      dwbench run t3 w1 --json out.json   # machine-readable results
@@ -95,9 +94,7 @@ let run_captured ~scale ids =
       else begin
         let sink = Metrics.create () in
         Metrics.with_sink (Some sink) (fun () ->
-            let t0 = Unix.gettimeofday () in
-            f ~scale;
-            Some (id, Unix.gettimeofday () -. t0, sink))
+            Some (id, E.Bench_support.time_only (fun () -> f ~scale), sink))
       end)
     experiments
 

@@ -105,15 +105,9 @@ let schema_of_wh wh_db name = Option.map Table.schema (Db.table_opt wh_db name)
    operation, both of which roll back cleanly on the fault, so
    re-running is safe. *)
 let with_retry t f =
-  let rec attempt n =
-    try f ()
-    with Vfs.Fault.Transient _ when n < t.cfg.max_retries ->
+  Vfs.Fault.retry ~backoff:t.backoff ~max_retries:t.cfg.max_retries f ~on_retry:(fun pause ->
       Metrics.incr t.metrics "bootstrap.retry";
-      let pause = Backoff.wait t.backoff ~attempt:n in
-      if pause > 0.0 then Metrics.observe t.metrics "bootstrap.backoff" pause;
-      attempt (n + 1)
-  in
-  attempt 0
+      if pause > 0.0 then Metrics.observe t.metrics "bootstrap.backoff" pause)
 
 let journal t record =
   try Run_state.journal_append (Db.vfs t.wh_db) ~table:t.table record

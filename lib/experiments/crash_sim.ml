@@ -17,6 +17,9 @@
      once (watermark updated in the same warehouse transaction as the
      batch rows).
 
+   Every explorer is one {!scenario} handed to {!sweep}, which owns the
+   counting pass, the per-point plans and the report.
+
    Everything is deterministic: the op mix, the payloads and the tear
    points all derive from seeded Dw_util.Prng streams, so a failing
    event index reproduces by itself. *)
@@ -37,7 +40,7 @@ module Pq = Dw_transport.Persistent_queue
 type report = {
   total_events : int;  (* write/fsync events in the fault-free run *)
   explored : int;  (* crash points actually exercised *)
-  failures : (int * string) list;  (* event index, invariant violated *)
+  failures : (int * string) list;  (* event index (-1 = fault-free run), invariant violated *)
   fault_metrics : (string * int) list;  (* fault.*/wal.*/queue.* totals *)
 }
 
@@ -59,7 +62,58 @@ let accumulate totals vfs =
         Metrics.add totals name v)
     (Metrics.snapshot (Vfs.metrics vfs))
 
-let indices ~total ~stride = List.init ((total + stride - 1) / stride) (fun i -> i * stride)
+(* ---------- the sweep driver ---------- *)
+
+(* A scenario installs the plan it is given on the device under test,
+   runs its workload (catching [Fault.Crash]), restarts from the
+   surviving bytes, checks its recovery invariants and folds its fault
+   counters into [totals].  Given a plan that never fires it must run
+   the workload to completion and return [Ok]. *)
+type scenario = totals:Metrics.t -> Fault.t -> (unit, string) result
+
+(* the fail-stop plan for crash point [k]: each point draws its tear
+   offset from its own seed, so a failing point reproduces alone *)
+let plan ~seed k = Fault.make ~fail_stop_after:k ~seed:(seed + k) ()
+
+let sweep ?(stride = 1) ~seed (scenario : scenario) =
+  if stride < 1 then invalid_arg "Crash_sim.sweep: stride < 1";
+  let counter = Fault.make ~seed () in
+  let baseline =
+    match scenario ~totals:(Metrics.create ()) counter with
+    | Ok () -> []
+    | Error msg -> [ (-1, "fault-free run: " ^ msg) ]
+  in
+  let total_events = Fault.events counter in
+  let totals = Metrics.create () in
+  let points = List.init ((total_events + stride - 1) / stride) (fun k -> k * stride) in
+  let failures =
+    List.filter_map
+      (fun k ->
+        let p = plan ~seed k in
+        match scenario ~totals p with
+        | Error msg -> Some (k, msg)
+        | Ok () when not (Fault.crashed p) -> Some (k, "fault plan never fired")
+        | Ok () -> None)
+      points
+  in
+  {
+    total_events;
+    explored = List.length points;
+    failures = baseline @ failures;
+    fault_metrics = Metrics.snapshot totals;
+  }
+
+(* one report over several sweeps (one per shard, one per flow) *)
+let merge reports =
+  let totals = Metrics.create () in
+  List.iter (fun r -> List.iter (fun (n, v) -> Metrics.add totals n v) r.fault_metrics) reports;
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 reports in
+  {
+    total_events = sum (fun r -> r.total_events);
+    explored = sum (fun r -> r.explored);
+    failures = List.concat_map (fun r -> r.failures) reports;
+    fault_metrics = Metrics.snapshot totals;
+  }
 
 (* ---------- source-database explorer ---------- *)
 
@@ -194,21 +248,14 @@ let reopen_src vfs =
   Db.set_day db 0;
   db
 
-let count_db_events spec ops =
+(* one crash point: run under [plan], restart over the surviving bytes,
+   check the visible rows are exactly the committed model (the in-flight
+   transaction may additionally be visible as a whole), then prove the
+   db is usable: commit one more row and make it survive a second
+   restart. *)
+let run_db_crash_point spec ops ~totals plan =
   let vfs = Vfs.in_memory () in
-  Vfs.set_fault vfs (Some (Fault.make ~seed:spec.seed ()));
-  let progress = { committed = []; in_flight = None } in
-  let (_ : Db.t) = run_db_workload spec vfs ops progress in
-  match Vfs.fault vfs with Some f -> Fault.events f | None -> assert false
-
-(* one crash point: run with fail-stop at [index], restart over the
-   surviving bytes, check the visible rows are exactly the committed
-   model (the in-flight transaction may additionally be visible as a
-   whole), then prove the db is usable: commit one more row and make it
-   survive a second restart. *)
-let run_db_crash_point spec ops ~totals index =
-  let vfs = Vfs.in_memory () in
-  Vfs.set_fault vfs (Some (Fault.make ~fail_stop_after:index ~seed:(spec.seed + index) ()));
+  Vfs.set_fault vfs (Some plan);
   let progress = { committed = []; in_flight = None } in
   (match run_db_workload spec vfs ops progress with
    | (_ : Db.t) -> ()
@@ -239,7 +286,7 @@ let run_db_crash_point spec ops ~totals index =
            reader opened before the probe commit never sees it *)
         let snap = Db.begin_txn ~mode:`Snapshot db in
         let frozen = snapshot_rows db snap in
-        let probe = Insert { first_id = 1_000_000 + index; size = 1 } in
+        let probe = Insert { first_id = 1_000_000; size = 1 } in
         let txn = Db.begin_txn db in
         List.iter (fun s -> ignore (Db.exec db txn s : Db.exec_result)) (stmts_of spec probe);
         Db.commit db txn;
@@ -256,24 +303,9 @@ let run_db_crash_point spec ops ~totals index =
   accumulate totals vfs;
   result
 
-let explore ?(spec = default_db_spec) ?(stride = 1) () =
+let explore ?(spec = default_db_spec) ?stride () =
   let ops = ops_of_spec spec in
-  let total_events = count_db_events spec ops in
-  let totals = Metrics.create () in
-  let failures = ref [] in
-  let points = indices ~total:total_events ~stride in
-  List.iter
-    (fun k ->
-      match run_db_crash_point spec ops ~totals k with
-      | Ok () -> ()
-      | Error msg -> failures := (k, msg) :: !failures)
-    points;
-  {
-    total_events;
-    explored = List.length points;
-    failures = List.rev !failures;
-    fault_metrics = Metrics.snapshot totals;
-  }
+  sweep ?stride ~seed:spec.seed (run_db_crash_point spec ops)
 
 (* ---------- persistent-queue explorer ---------- *)
 
@@ -326,20 +358,13 @@ let drain q =
   in
   go []
 
-let count_queue_events spec =
-  let vfs = Vfs.in_memory () in
-  Vfs.set_fault vfs (Some (Fault.make ~seed:spec.qseed ()));
-  let p = { enqueued = []; enq_in_flight = None; acked = []; ack_in_flight = None } in
-  let (_ : Pq.t) = run_queue_workload spec vfs p in
-  match Vfs.fault vfs with Some f -> Fault.events f | None -> assert false
-
 (* at-least-once invariant: after a crash at any point, every completed
    enqueue that was not (possibly) consumed must be redelivered; nothing
    that was never enqueued may appear; and the re-opened queue must
    still accept and retain new messages across another restart. *)
-let run_queue_crash_point spec ~totals index =
+let run_queue_crash_point spec ~totals plan =
   let vfs = Vfs.in_memory () in
-  Vfs.set_fault vfs (Some (Fault.make ~fail_stop_after:index ~seed:(spec.qseed + index) ()));
+  Vfs.set_fault vfs (Some plan);
   let p = { enqueued = []; enq_in_flight = None; acked = []; ack_in_flight = None } in
   (match run_queue_workload spec vfs p with
    | (_ : Pq.t) -> ()
@@ -377,23 +402,8 @@ let run_queue_crash_point spec ~totals index =
   accumulate totals vfs;
   result
 
-let explore_queue ?(spec = default_queue_spec) ?(stride = 1) () =
-  let total_events = count_queue_events spec in
-  let totals = Metrics.create () in
-  let failures = ref [] in
-  let points = indices ~total:total_events ~stride in
-  List.iter
-    (fun k ->
-      match run_queue_crash_point spec ~totals k with
-      | Ok () -> ()
-      | Error msg -> failures := (k, msg) :: !failures)
-    points;
-  {
-    total_events;
-    explored = List.length points;
-    failures = List.rev !failures;
-    fault_metrics = Metrics.snapshot totals;
-  }
+let explore_queue ?(spec = default_queue_spec) ?stride () =
+  sweep ?stride ~seed:spec.qseed (run_queue_crash_point spec)
 
 (* ---------- batched-queue explorer ---------- *)
 
@@ -463,13 +473,6 @@ let run_batched_queue_workload spec vfs p =
     (batched_queue_batches spec);
   q
 
-let count_batched_queue_events spec =
-  let vfs = Vfs.in_memory () in
-  Vfs.set_fault vfs (Some (Fault.make ~seed:spec.bseed ()));
-  let p = { b_enqueued = []; b_enq_in_flight = []; b_acked = []; b_ack_in_flight = [] } in
-  let (_ : Pq.t) = run_batched_queue_workload spec vfs p in
-  match Vfs.fault vfs with Some f -> Fault.events f | None -> assert false
-
 (* [sub] must be a prefix of [full] — the only shape a torn batch append
    may survive in *)
 let rec is_prefix sub full =
@@ -478,9 +481,9 @@ let rec is_prefix sub full =
   | _, [] -> false
   | x :: xs, y :: ys -> x = y && is_prefix xs ys
 
-let run_batched_queue_crash_point spec ~totals index =
+let run_batched_queue_crash_point spec ~totals plan =
   let vfs = Vfs.in_memory () in
-  Vfs.set_fault vfs (Some (Fault.make ~fail_stop_after:index ~seed:(spec.bseed + index) ()));
+  Vfs.set_fault vfs (Some plan);
   let p = { b_enqueued = []; b_enq_in_flight = []; b_acked = []; b_ack_in_flight = [] } in
   (match run_batched_queue_workload spec vfs p with
    | (_ : Pq.t) -> ()
@@ -532,23 +535,8 @@ let run_batched_queue_crash_point spec ~totals index =
   accumulate totals vfs;
   result
 
-let explore_batched_queue ?(spec = default_batched_queue_spec) ?(stride = 1) () =
-  let total_events = count_batched_queue_events spec in
-  let totals = Metrics.create () in
-  let failures = ref [] in
-  let points = indices ~total:total_events ~stride in
-  List.iter
-    (fun k ->
-      match run_batched_queue_crash_point spec ~totals k with
-      | Ok () -> ()
-      | Error msg -> failures := (k, msg) :: !failures)
-    points;
-  {
-    total_events;
-    explored = List.length points;
-    failures = List.rev !failures;
-    fault_metrics = Metrics.snapshot totals;
-  }
+let explore_batched_queue ?(spec = default_batched_queue_spec) ?stride () =
+  sweep ?stride ~seed:spec.bseed (run_batched_queue_crash_point spec)
 
 (* ---------- warehouse-refresh idempotency explorer ---------- *)
 
@@ -632,19 +620,10 @@ let produce spec qvfs =
       (encode_batch ~bid ~first_id:(1 + ((bid - 1) * spec.batch_size)) ~size:spec.batch_size)
   done
 
-let count_refresh_events spec =
+let run_refresh_crash_point spec ~totals plan =
   let qvfs = Vfs.in_memory () in
   produce spec qvfs;
-  Vfs.set_fault qvfs (Some (Fault.make ~seed:spec.rseed ()));
-  let _, wh = fresh_warehouse () in
-  let q = Pq.open_ qvfs ~name:"deltas" in
-  consume spec q wh;
-  match Vfs.fault qvfs with Some f -> Fault.events f | None -> assert false
-
-let run_refresh_crash_point spec ~totals index =
-  let qvfs = Vfs.in_memory () in
-  produce spec qvfs;
-  Vfs.set_fault qvfs (Some (Fault.make ~fail_stop_after:index ~seed:(spec.rseed + index) ()));
+  Vfs.set_fault qvfs (Some plan);
   let whvfs, wh = fresh_warehouse () in
   (match
      let q = Pq.open_ qvfs ~name:"deltas" in
@@ -677,23 +656,8 @@ let run_refresh_crash_point spec ~totals index =
   accumulate totals qvfs;
   result
 
-let explore_refresh ?(spec = default_refresh_spec) ?(stride = 1) () =
-  let total_events = count_refresh_events spec in
-  let totals = Metrics.create () in
-  let failures = ref [] in
-  let points = indices ~total:total_events ~stride in
-  List.iter
-    (fun k ->
-      match run_refresh_crash_point spec ~totals k with
-      | Ok () -> ()
-      | Error msg -> failures := (k, msg) :: !failures)
-    points;
-  {
-    total_events;
-    explored = List.length points;
-    failures = List.rev !failures;
-    fault_metrics = Metrics.snapshot totals;
-  }
+let explore_refresh ?(spec = default_refresh_spec) ?stride () =
+  sweep ?stride ~seed:spec.rseed (run_refresh_crash_point spec)
 
 (* ---------- micro-batched refresh explorer ---------- *)
 
@@ -740,19 +704,10 @@ let consume_runs spec ~run q wh =
       Pq.ack_run q (List.length msgs)
   done
 
-let count_batched_refresh_events spec ~run =
+let run_batched_refresh_crash_point spec ~run ~totals plan =
   let qvfs = Vfs.in_memory () in
   produce spec qvfs;
-  Vfs.set_fault qvfs (Some (Fault.make ~seed:spec.rseed ()));
-  let _, wh = fresh_warehouse () in
-  let q = Pq.open_ qvfs ~name:"deltas" in
-  consume_runs spec ~run q wh;
-  match Vfs.fault qvfs with Some f -> Fault.events f | None -> assert false
-
-let run_batched_refresh_crash_point spec ~run ~totals index =
-  let qvfs = Vfs.in_memory () in
-  produce spec qvfs;
-  Vfs.set_fault qvfs (Some (Fault.make ~fail_stop_after:index ~seed:(spec.rseed + index) ()));
+  Vfs.set_fault qvfs (Some plan);
   let whvfs, wh = fresh_warehouse () in
   (match
      let q = Pq.open_ qvfs ~name:"deltas" in
@@ -784,23 +739,8 @@ let run_batched_refresh_crash_point spec ~run ~totals index =
   accumulate totals qvfs;
   result
 
-let explore_refresh_batched ?(spec = default_refresh_spec) ?(run = 3) ?(stride = 1) () =
-  let total_events = count_batched_refresh_events spec ~run in
-  let totals = Metrics.create () in
-  let failures = ref [] in
-  let points = indices ~total:total_events ~stride in
-  List.iter
-    (fun k ->
-      match run_batched_refresh_crash_point spec ~run ~totals k with
-      | Ok () -> ()
-      | Error msg -> failures := (k, msg) :: !failures)
-    points;
-  {
-    total_events;
-    explored = List.length points;
-    failures = List.rev !failures;
-    fault_metrics = Metrics.snapshot totals;
-  }
+let explore_refresh_batched ?(spec = default_refresh_spec) ?(run = 3) ?stride () =
+  sweep ?stride ~seed:spec.rseed (run_batched_refresh_crash_point spec ~run)
 
 (* ---------- transient-fault file shipping ---------- *)
 
@@ -874,17 +814,11 @@ let run_bench ~scale =
        stats.Dw_transport.File_ship.bytes stats.Dw_transport.File_ship.chunks
        stats.Dw_transport.File_ship.retries
        (if identical then "byte-identical" else "CORRUPTED"));
+  let totals = merge [ db_report; g_report; q_report; bq_report; r_report; br_report ] in
   let rows =
     List.map
       (fun (name, v) -> [ name; string_of_int v ])
-      (Metrics.diff
-         ~before:[]
-         ~after:
-           (let totals = Metrics.create () in
-            List.iter
-              (fun r -> List.iter (fun (n, v) -> Metrics.add totals n v) r.fault_metrics)
-              [ db_report; g_report; q_report; bq_report; r_report; br_report ];
-            Metrics.snapshot totals))
+      (Metrics.diff ~before:[] ~after:totals.fault_metrics)
   in
   Bench_support.print_table ~title:"injected faults and recovery work (totals)"
     ~header:[ "counter"; "total" ] ~rows

@@ -148,25 +148,12 @@ let converged env =
   let w = sorted_rows (Warehouse.db env.wh) Workload.parts_table in
   List.length s = List.length w && List.for_all2 Tuple.equal s w
 
-(* fault-free run: counts write/fsync events for the sweep and yields the
-   from-scratch chunk cost the resume arm is compared against *)
-let baseline spec =
+(* kill the run where [plan] fail-stops, restart from bytes, resume,
+   verify.  Returns the chunk transactions re-done beyond the durable
+   total on success. *)
+let run_crash_point spec ~totals plan =
   let env = mk_env spec in
-  Vfs.set_fault env.whvfs (Some (Fault.make ~seed:spec.seed ()));
-  let p =
-    match run_attempt env with
-    | `Done p -> p
-    | `Crashed _ | `Refused | `Failed _ -> failwith "w4: fault-free bootstrap did not complete"
-  in
-  if not (converged env) then failwith "w4: fault-free bootstrap did not converge";
-  let events = match Vfs.fault env.whvfs with Some f -> Fault.events f | None -> 0 in
-  (env, p, events)
-
-(* kill at event [k], restart from bytes, resume, verify.  Returns the
-   chunk transactions re-done beyond the durable total on success. *)
-let run_crash_point spec ~totals k =
-  let env = mk_env spec in
-  Vfs.set_fault env.whvfs (Some (Fault.make ~fail_stop_after:k ~seed:(spec.seed + k) ()));
+  Vfs.set_fault env.whvfs (Some plan);
   let first = run_attempt env in
   let result =
     match first with
@@ -204,23 +191,9 @@ let run_crash_point spec ~totals k =
   Cs.accumulate totals env.whvfs;
   result
 
-let explore_bootstrap ?(spec = default_spec) ?(stride = 1) () =
-  let _, _, total_events = baseline spec in
-  let totals = Metrics.create () in
-  let failures = ref [] in
-  let points = Cs.indices ~total:total_events ~stride in
-  List.iter
-    (fun k ->
-      match run_crash_point spec ~totals k with
-      | Ok _ -> ()
-      | Error msg -> failures := (k, msg) :: !failures)
-    points;
-  {
-    Cs.total_events;
-    explored = List.length points;
-    failures = List.rev !failures;
-    fault_metrics = Metrics.snapshot totals;
-  }
+let explore_bootstrap ?(spec = default_spec) ?stride () =
+  Cs.sweep ?stride ~seed:spec.seed (fun ~totals plan ->
+      Result.map ignore (run_crash_point spec ~totals plan))
 
 let run_bench ~scale =
   Bench_support.section "W4: resumable bootstrap (chunked load + watermark windows)";
@@ -251,24 +224,22 @@ let run_bench ~scale =
   let total_events = match Vfs.fault env.whvfs with Some f -> Fault.events f | None -> 0 in
   (* arm 2: systematic crash sweep with resume, tracking the worst-case
      re-done work *)
-  let stride = max 1 (total_events / 40) in
-  let totals = Metrics.create () in
-  let points = Cs.indices ~total:total_events ~stride in
   let max_extra = ref 0 in
-  let failures = ref 0 in
+  let report =
+    Cs.sweep ~stride:(max 1 (total_events / 40)) ~seed:spec.seed (fun ~totals plan ->
+        Result.map
+          (fun extra -> max_extra := max !max_extra extra)
+          (run_crash_point spec ~totals plan))
+  in
   List.iter
-    (fun k ->
-      match run_crash_point spec ~totals k with
-      | Ok extra -> max_extra := max !max_extra extra
-      | Error msg ->
-        incr failures;
-        Printf.printf "  crash point %d FAILED: %s\n%!" k msg)
-    points;
+    (fun (k, msg) -> Printf.printf "  crash point %d FAILED: %s\n%!" k msg)
+    report.Cs.failures;
+  let failures = List.length report.Cs.failures in
   Metrics.set_gauge m "w4.restart_chunks" (float_of_int p.Bootstrap.chunks_done);
   Metrics.set_gauge m "w4.resume_extra_chunks" (float_of_int !max_extra);
   Metrics.set_gauge m "w4.lease_refused" (if refused then 1.0 else 0.0);
-  Metrics.set_gauge m "w4.converged" (if !failures = 0 then 1.0 else 0.0);
-  Metrics.set_gauge m "w4.crash_points" (float_of_int (List.length points));
+  Metrics.set_gauge m "w4.converged" (if failures = 0 then 1.0 else 0.0);
+  Metrics.set_gauge m "w4.crash_points" (float_of_int report.Cs.explored);
   Metrics.set_gauge m "w4.rows_deduped" (float_of_int p.Bootstrap.rows_deduped);
   Bench_support.print_table ~title:"W4: bootstrap resume cost vs restart"
     ~header:[ "rows"; "chunks"; "crash points"; "failures"; "max re-done chunks"; "deduped" ]
@@ -277,10 +248,10 @@ let run_bench ~scale =
         [
           string_of_int spec.rows;
           string_of_int p.Bootstrap.chunks_done;
-          string_of_int (List.length points);
-          string_of_int !failures;
+          string_of_int report.Cs.explored;
+          string_of_int failures;
           string_of_int !max_extra;
           string_of_int p.Bootstrap.rows_deduped;
         ];
       ];
-  if !failures > 0 then failwith "w4: crash sweep had failures"
+  if failures > 0 then failwith "w4: crash sweep had failures"

@@ -475,39 +475,25 @@ let verify_converged env =
     end
   end
 
-(* fault-free rebuild with a counting-only plan armed on the fresh shard
-   Vfs at the first chunk: its event total is the sweep space *)
-let count_rebuild_events spec =
-  let env, flappy = quarantined_scene spec in
-  let armed = ref false in
-  let hook = function
-    | Bootstrap.Before_chunk 0 when not !armed ->
-      armed := true;
-      Vfs.set_fault (Partitioned.vfss env.fleet).(flappy) (Some (Fault.make ~seed:env.seed ()))
-    | _ -> ()
-  in
-  (match rebuild_of ~hook env flappy with
-   | Ok _ -> ()
-   | Error _ -> failwith "rebuild explorer: fault-free rebuild failed");
-  match Vfs.fault (Partitioned.vfss env.fleet).(flappy) with
-  | Some f -> Fault.events f
-  | None -> 0
-
-(* kill the rebuild at event [k] of the fresh shard's device, resume it
+(* arm [plan] on the fresh shard's device at the rebuild's first chunk
+   (the rebuild is the sweep space), let it kill the rebuild, resume it
    from the surviving bytes, and verify convergence *)
-let run_rebuild_crash_point spec ~totals k =
+let run_rebuild_crash_point spec ~totals plan =
   let env, flappy = quarantined_scene spec in
   let armed = ref false in
   let hook = function
     | Bootstrap.Before_chunk 0 when not !armed ->
       armed := true;
-      Vfs.set_fault (Partitioned.vfss env.fleet).(flappy)
-        (Some (Fault.make ~fail_stop_after:k ~seed:(env.seed + k) ()))
+      Vfs.set_fault (Partitioned.vfss env.fleet).(flappy) (Some plan)
     | _ -> ()
   in
   let result =
     match rebuild_of ~hook env flappy with
-    | Ok _ -> Error (Printf.sprintf "rebuild survived its fail-stop at event %d" k)
+    | Ok _ ->
+      (* a plan that outlived the rebuild never fired: detach it so the
+         sweep space stays the rebuild's own events *)
+      Vfs.set_fault (Partitioned.vfss env.fleet).(flappy) None;
+      verify_converged env
     | Error (Bootstrap.Lease_held _) -> Error "first rebuild refused its own lease"
     | Error (Bootstrap.Failed e) -> Error ("first rebuild aborted instead of crashing: " ^ e)
     | exception Fault.Crash _ -> (
@@ -523,20 +509,5 @@ let run_rebuild_crash_point spec ~totals k =
   Crash_sim.accumulate totals (Partitioned.vfss env.fleet).(flappy);
   result
 
-let explore_rebuild ?(spec = default_crash_spec) ?(stride = 1) () =
-  let total_events = count_rebuild_events spec in
-  let totals = Metrics.create () in
-  let failures = ref [] in
-  let points = Crash_sim.indices ~total:total_events ~stride in
-  List.iter
-    (fun k ->
-      match run_rebuild_crash_point spec ~totals k with
-      | Ok () -> ()
-      | Error msg -> failures := (k, msg) :: !failures)
-    points;
-  {
-    Crash_sim.total_events;
-    explored = List.length points;
-    failures = List.rev !failures;
-    fault_metrics = Metrics.snapshot totals;
-  }
+let explore_rebuild ?(spec = default_crash_spec) ?stride () =
+  Crash_sim.sweep ?stride ~seed:spec.r_seed (run_rebuild_crash_point spec)

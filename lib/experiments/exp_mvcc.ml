@@ -70,10 +70,10 @@ let run_arm ~table_rows mode =
       start_at = 0;
       work =
         (fun () ->
-          let t0 = Unix.gettimeofday () in
           let grouping = Warehouse.Batched Warehouse.default_batch_policy in
-          ignore (Warehouse.integrate_op_deltas ~grouping wh ods : Warehouse.stats);
-          refresh := Unix.gettimeofday () -. t0);
+          refresh :=
+            Bench_support.time_only (fun () ->
+                ignore (Warehouse.integrate_op_deltas ~grouping wh ods : Warehouse.stats)));
     }
   in
   let readers =
@@ -129,9 +129,10 @@ let run_batch_arm ~table_rows =
   let vd = Trigger_extract.collect src handle in
   let wh = Exp_warehouse.mk_warehouse ~replica_rows:table_rows in
   let metrics = Db.metrics (Warehouse.db wh) in
-  let t0 = Unix.gettimeofday () in
-  ignore (Warehouse.integrate_value_delta wh vd : Warehouse.stats);
-  let outage = Unix.gettimeofday () -. t0 in
+  let outage =
+    Bench_support.time_only (fun () ->
+        ignore (Warehouse.integrate_value_delta wh vd : Warehouse.stats))
+  in
   Metrics.set_gauge metrics "w3.batch_outage_s" outage;
   outage
 

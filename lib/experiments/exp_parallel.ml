@@ -89,18 +89,19 @@ let run_arm ~rows ~vd ~domains ~queries_n =
   let refresh_window = ref 0.0 in
   let refresher =
     Domain.spawn (fun () ->
-        let t0 = Unix.gettimeofday () in
-        ignore (Warehouse.integrate_value_delta wh vd : Warehouse.stats);
-        refresh_window := Unix.gettimeofday () -. t0)
+        refresh_window :=
+          Bench_support.time_only (fun () ->
+              ignore (Warehouse.integrate_value_delta wh vd : Warehouse.stats)))
   in
-  let t0 = Unix.gettimeofday () in
-  for i = 0 to queries_n - 1 do
-    let q = List.nth queries (i mod List.length queries) in
-    match Olap.run_parallel ~partitions ~pool wh q with
-    | Ok r -> Metrics.observe metrics ("w5.olap_latency_" ^ label) r.Olap.duration
-    | Error e -> failwith (Printf.sprintf "w5 %s: %s: %s" label q.Olap.name e)
-  done;
-  let wall = Unix.gettimeofday () -. t0 in
+  let wall =
+    Bench_support.time_only (fun () ->
+        for i = 0 to queries_n - 1 do
+          let q = List.nth queries (i mod List.length queries) in
+          match Olap.run_parallel ~partitions ~pool wh q with
+          | Ok r -> Metrics.observe metrics ("w5.olap_latency_" ^ label) r.Olap.duration
+          | Error e -> failwith (Printf.sprintf "w5 %s: %s: %s" label q.Olap.name e)
+        done)
+  in
   Domain.join refresher;
   let qps = float_of_int queries_n /. wall in
   let p95 = Metrics.percentile metrics ("w5.olap_latency_" ^ label) 0.95 in

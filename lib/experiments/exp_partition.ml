@@ -161,9 +161,7 @@ type arm = {
 let run_arm metrics ~rows ~seed ~id_space ~expected ~ods parts =
   let pw = mk_partitioned ~rows ~seed ~parts ~id_space () in
   let spec = Partitioned.spec pw in
-  let t0 = Unix.gettimeofday () in
-  let buckets, stage_stats = Stage.split ~spec ods in
-  let stage_s = Unix.gettimeofday () -. t0 in
+  let (buckets, stage_stats), stage_s = Bench_support.time (fun () -> Stage.split ~spec ods) in
   Array.iter
     (fun bucket ->
       Metrics.observe metrics "stage.bucket_ops"
@@ -171,9 +169,7 @@ let run_arm metrics ~rows ~seed ~id_space ~expected ~ods parts =
            (List.fold_left (fun acc od -> acc + List.length od.Op_delta.ops) 0 bucket)))
     buckets;
   Domain_pool.with_pool ~domains:parts @@ fun pool ->
-  let t1 = Unix.gettimeofday () in
-  let stats = Partitioned.refresh ~pool pw buckets in
-  let window_s = Unix.gettimeofday () -. t1 in
+  let stats, window_s = Bench_support.time (fun () -> Partitioned.refresh ~pool pw buckets) in
   let identical = matches_reference expected pw in
   Metrics.set_gauge metrics (Printf.sprintf "t6.window_p%d_s" parts) window_s;
   Metrics.set_gauge metrics (Printf.sprintf "t6.stage_p%d_s" parts) stage_s;
@@ -261,7 +257,7 @@ let checkpoint_shards pw =
    final state equals the sequential integrator's, and every shard's
    watermark reached its bucket's last transaction — i.e. redelivered
    runs applied exactly once per shard. *)
-let run_partitioned_crash_point spec ~totals ~shard:s index =
+let run_partitioned_crash_point spec ~totals ~shard:s plan =
   let { c_rows = rows; c_txns = txns; c_parts = parts; c_seed = seed } = spec in
   let id_space = rows + txns in
   let ods = build_deltas ~rows ~txns ~seed in
@@ -273,7 +269,7 @@ let run_partitioned_crash_point spec ~totals ~shard:s index =
   let pspec = Partitioned.spec pw in
   let buckets, (_ : Stage.stats) = Stage.split ~spec:pspec ods in
   let vfss = Partitioned.vfss pw in
-  Vfs.set_fault vfss.(s) (Some (Fault.make ~fail_stop_after:index ~seed:(seed + index) ()));
+  Vfs.set_fault vfss.(s) (Some plan);
   (match
      Domain_pool.with_pool ~domains:parts (fun pool ->
          ignore (Partitioned.refresh ~pool pw buckets : Warehouse.stats))
@@ -309,40 +305,10 @@ let run_partitioned_crash_point spec ~totals ~shard:s index =
   Array.iter (Crash_sim.accumulate totals) vfss;
   result
 
-(* the fault-free event counts, per shard: the same workload runs once
-   with counting-only fault plans armed after setup *)
-let count_partitioned_events spec =
-  let { c_rows = rows; c_txns = txns; c_parts = parts; c_seed = seed } = spec in
-  let id_space = rows + txns in
-  let ods = build_deltas ~rows ~txns ~seed in
-  let pw = mk_partitioned ~pages:64 ~op_delay:0.0 ~rows ~seed ~parts ~id_space () in
-  checkpoint_shards pw;
-  let buckets, (_ : Stage.stats) = Stage.split ~spec:(Partitioned.spec pw) ods in
-  let vfss = Partitioned.vfss pw in
-  Array.iter (fun vfs -> Vfs.set_fault vfs (Some (Fault.make ~seed ()))) vfss;
-  Domain_pool.with_pool ~domains:parts (fun pool ->
-      ignore (Partitioned.refresh ~pool pw buckets : Warehouse.stats));
-  Array.map (fun vfs -> match Vfs.fault vfs with Some f -> Fault.events f | None -> 0) vfss
-
-let explore_partitioned ?(spec = default_crash_spec) ?(stride = 1) () =
-  let events = count_partitioned_events spec in
-  let totals = Metrics.create () in
-  let failures = ref [] in
-  let explored = ref 0 in
-  Array.iteri
-    (fun s total ->
-      List.iter
-        (fun k ->
-          incr explored;
-          match run_partitioned_crash_point spec ~totals ~shard:s k with
-          | Ok () -> ()
-          | Error msg ->
-            failures := ((s * 10_000) + k, Printf.sprintf "shard %d: %s" s msg) :: !failures)
-        (Crash_sim.indices ~total ~stride))
-    events;
-  {
-    Crash_sim.total_events = Array.fold_left ( + ) 0 events;
-    explored = !explored;
-    failures = List.rev !failures;
-    fault_metrics = Metrics.snapshot totals;
-  }
+(* one sweep per shard, each over that shard's own device events *)
+let explore_partitioned ?(spec = default_crash_spec) ?stride () =
+  Crash_sim.merge
+    (List.init spec.c_parts (fun s ->
+         Crash_sim.sweep ?stride ~seed:spec.c_seed (fun ~totals plan ->
+             Result.map_error (Printf.sprintf "shard %d: %s" s)
+               (run_partitioned_crash_point spec ~totals ~shard:s plan))))

@@ -100,6 +100,15 @@ module Fault = struct
   let reset_crash t =
     t.crashed <- false;
     t.fail_stop_after <- -1
+
+  let retry ~backoff ~max_retries ~on_retry f =
+    let rec attempt n =
+      try f ()
+      with Transient _ when n < max_retries ->
+        on_retry (Dw_util.Backoff.wait backoff ~attempt:n);
+        attempt (n + 1)
+    in
+    attempt 0
 end
 
 (* growable byte store for the in-memory backend: random-access reads and

@@ -90,6 +90,20 @@ module Fault : sig
       plan to count its crash points. *)
 
   val crashed : t -> bool
+
+  val retry :
+    backoff:Dw_util.Backoff.t ->
+    max_retries:int ->
+    on_retry:(float -> unit) ->
+    (unit -> 'a) ->
+    'a
+  (** [retry ~backoff ~max_retries ~on_retry f] runs [f], re-running it
+      after each {!Transient} up to [max_retries] times.  Before retry
+      [n] (0-based) it sleeps [Backoff.wait backoff ~attempt:n] and
+      passes that pause to [on_retry], where the caller keeps its own
+      counters.  The {!Transient} that exhausts the budget is re-raised;
+      {!Crash} is never caught — it is the fail-stop crash sweeps watch
+      for.  [f] must be safe to re-run after a transient fault. *)
 end
 
 val in_memory : ?metrics:Dw_util.Metrics.t -> ?op_delay:float -> unit -> t

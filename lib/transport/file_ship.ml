@@ -9,18 +9,12 @@ type stats = { bytes : int; chunks : int; retries : int }
    at a fixed offset, so re-running after a transient or torn write
    simply overwrites the partial data — the retry is idempotent. *)
 let with_retry ~metrics ~max_retries ~backoff ~retries f =
-  let rec attempt n =
-    try f ()
-    with Vfs.Fault.Transient _ when n < max_retries ->
+  Vfs.Fault.retry ~backoff ~max_retries f ~on_retry:(fun pause ->
       incr retries;
       Metrics.incr metrics "retry.ship";
-      let pause = Backoff.wait backoff ~attempt:n in
       (* backoff time is where a flaky link actually hurts the
          maintenance window: record the distribution, not just a count *)
-      if pause > 0.0 then Metrics.observe metrics "ship.backoff" pause;
-      attempt (n + 1)
-  in
-  attempt 0
+      if pause > 0.0 then Metrics.observe metrics "ship.backoff" pause)
 
 let ship ?(chunk_size = 64 * 1024) ?(max_retries = 8) ?(backoff_s = 0.0) ?(jitter_seed = 0) ~src
     ~src_name ~dst ~dst_name () =

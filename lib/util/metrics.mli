@@ -32,8 +32,8 @@
 type t
 
 type clock = unit -> float
-(** Seconds; only differences are meaningful.  The default is
-    [Unix.gettimeofday]. *)
+(** Seconds; only differences are meaningful.  The default is the host
+    wall clock (Unix time of day). *)
 
 val create : unit -> t
 

@@ -510,13 +510,13 @@ let refresh_guarded ?(policy = Warehouse.default_batch_policy) ~pool t buckets =
     let s = t.states.(i) in
     let started = Metrics.now t.hmetrics in
     let retries = ref 0 in
-    let rec go attempt =
-      match refresh_shard policy t.shards.(i) buckets.(i) with
+    let result =
+      match
+        Vfs.Fault.retry ~backoff:s.retry ~max_retries:t.hcfg.max_retries
+          ~on_retry:(fun (_ : float) -> incr retries)
+          (fun () -> refresh_shard policy t.shards.(i) buckets.(i))
+      with
       | stats -> Ok stats
-      | exception Vfs.Fault.Transient _ when attempt < t.hcfg.max_retries ->
-        incr retries;
-        ignore (Backoff.wait s.retry ~attempt : float);
-        go (attempt + 1)
       | exception Vfs.Fault.Transient op ->
         Error
           (Printf.sprintf "transient fault on %s persisted after %d retries" op
@@ -524,7 +524,6 @@ let refresh_guarded ?(policy = Warehouse.default_batch_policy) ~pool t buckets =
       | exception Vfs.Fault.Crash { op; index } ->
         Error (Printf.sprintf "crash on %s at event %d" op index)
     in
-    let result = go 0 in
     (result, !retries, Metrics.now t.hmetrics -. started)
   in
   let results = Domain_pool.run_all pool (List.map (fun i -> task i) attempts) in

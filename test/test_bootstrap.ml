@@ -19,6 +19,7 @@ module Bootstrap = Dw_etl.Bootstrap
 module Run_state = Dw_etl.Run_state
 module Pipeline = Dw_etl.Pipeline
 module EB = Dw_experiments.Exp_bootstrap
+module Cs = Dw_experiments.Crash_sim
 
 let check = Alcotest.check
 let test name f = Alcotest.test_case name `Quick f
@@ -188,12 +189,17 @@ let lease_expired_single_winner () =
 
 let crash_mid_load_resumes () =
   let s = spec ~rows:48 ~commits:6 ~seed:5 () in
-  let _, _, total = EB.baseline s in
-  check Alcotest.bool "events counted" true (total > 0);
   let totals = Metrics.create () in
+  (* a plan that never fires counts the run's write/fsync events *)
+  let counter = Fault.make ~seed:s.EB.seed () in
+  (match EB.run_crash_point s ~totals counter with
+   | Ok _ -> ()
+   | Error msg -> Alcotest.fail ("fault-free run: " ^ msg));
+  let total = Fault.events counter in
+  check Alcotest.bool "events counted" true (total > 0);
   List.iter
     (fun k ->
-      match EB.run_crash_point s ~totals k with
+      match EB.run_crash_point s ~totals (Cs.plan ~seed:s.EB.seed k) with
       | Ok extra -> check Alcotest.bool "resume re-does <= 1 chunk" true (extra <= 1)
       | Error msg -> Alcotest.fail (Printf.sprintf "crash point %d: %s" k msg))
     [ 1; total / 3; total / 2; total - 2 ]
@@ -344,7 +350,7 @@ let prop_random_crash_converges =
     (fun (k, commits, seed) ->
       let s = spec ~rows:48 ~commits ~seed () in
       let totals = Metrics.create () in
-      match EB.run_crash_point s ~totals k with
+      match EB.run_crash_point s ~totals (Cs.plan ~seed k) with
       | Ok extra -> extra <= 1
       | Error msg -> QCheck2.Test.fail_report msg)
 

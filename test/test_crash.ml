@@ -5,6 +5,7 @@
 
 module Cs = Dw_experiments.Crash_sim
 module Metrics = Dw_util.Metrics
+module Vfs = Dw_storage.Vfs
 
 let check = Alcotest.check
 let test name f = Alcotest.test_case name `Quick f
@@ -55,10 +56,53 @@ let flake_seeds_pinned () =
     (fun (seed, index) ->
       let spec = { Cs.small_db_spec with Cs.seed } in
       let ops = Cs.ops_of_spec spec in
-      match Cs.run_db_crash_point spec ops ~totals:(Metrics.create ()) index with
+      match
+        Cs.run_db_crash_point spec ops ~totals:(Metrics.create ()) (Cs.plan ~seed index)
+      with
       | Ok () -> ()
       | Error msg -> Alcotest.failf "seed %d, event %d: %s" seed index msg)
     [ (13, 22); (18, 22); (24, 22); (29, 23); (71, 23); (72, 22) ]
+
+(* ---------- the sweep driver itself ---------- *)
+
+let sweep_rejects_bad_stride () =
+  Alcotest.check_raises "stride 0" (Invalid_argument "Crash_sim.sweep: stride < 1") (fun () ->
+      ignore (Cs.explore ~stride:0 () : Cs.report))
+
+(* a toy one-Vfs scenario: three writes and an fsync (4 events), then a
+   restart.  [disarm] revives the device before the workload, which
+   clears the point plan's fail-stop; [flag_clean] makes the run that
+   never crashed — the sweep's counting pass — return [Error]. *)
+let toy ~disarm ~flag_clean ~totals plan =
+  let vfs = Vfs.in_memory () in
+  Vfs.set_fault vfs (Some plan);
+  if disarm then Vfs.revive vfs;
+  (try
+     let f = Vfs.create vfs "toy" in
+     for i = 0 to 2 do
+       Vfs.write_at f ~off:(i * 4) (Bytes.of_string "abcd")
+     done;
+     Vfs.fsync f
+   with Vfs.Fault.Crash _ -> ());
+  Vfs.crash_reset vfs;
+  Cs.accumulate totals vfs;
+  if flag_clean && not (Vfs.Fault.crashed plan) then Error "no crash" else Ok ()
+
+let sweep_reports_unfired_plans () =
+  let r = Cs.sweep ~seed:1 (toy ~disarm:true ~flag_clean:false) in
+  check Alcotest.int "events counted" 4 r.Cs.total_events;
+  check
+    Alcotest.(list (pair int string))
+    "every disarmed point reported"
+    (List.init 4 (fun k -> (k, "fault plan never fired")))
+    r.Cs.failures
+
+let sweep_reports_failing_fault_free_run () =
+  let r = Cs.sweep ~seed:1 (toy ~disarm:false ~flag_clean:true) in
+  check Alcotest.int "all points explored" 4 r.Cs.explored;
+  check
+    Alcotest.(list (pair int string))
+    "the fault-free run's failure is reported" [ (-1, "fault-free run: no crash") ] r.Cs.failures
 
 let ship_under_heavy_transient_faults () =
   (* >= 20% of destination writes and fsyncs fail transiently; bounded
@@ -79,7 +123,9 @@ let prop_queue_random_crash_never_loses =
     QCheck2.Gen.(pair (int_range 0 10_000) (int_range 0 80))
     (fun (qseed, index) ->
       let spec = { Cs.default_queue_spec with Cs.qseed } in
-      match Cs.run_queue_crash_point spec ~totals:(Metrics.create ()) index with
+      match
+        Cs.run_queue_crash_point spec ~totals:(Metrics.create ()) (Cs.plan ~seed:qseed index)
+      with
       | Ok () -> true
       | Error msg -> QCheck2.Test.fail_reportf "seed %d, event %d: %s" qseed index msg)
 
@@ -90,7 +136,9 @@ let prop_db_random_crash_exact_rows =
     (fun (seed, index) ->
       let spec = { Cs.small_db_spec with Cs.seed } in
       let ops = Cs.ops_of_spec spec in
-      match Cs.run_db_crash_point spec ops ~totals:(Metrics.create ()) index with
+      match
+        Cs.run_db_crash_point spec ops ~totals:(Metrics.create ()) (Cs.plan ~seed index)
+      with
       | Ok () -> true
       | Error msg -> QCheck2.Test.fail_reportf "seed %d, event %d: %s" seed index msg)
 
@@ -101,7 +149,9 @@ let prop_grouped_db_random_crash =
     (fun (seed, index, group) ->
       let spec = { Cs.small_db_spec with Cs.seed; Cs.group = group } in
       let ops = Cs.ops_of_spec spec in
-      match Cs.run_db_crash_point spec ops ~totals:(Metrics.create ()) index with
+      match
+        Cs.run_db_crash_point spec ops ~totals:(Metrics.create ()) (Cs.plan ~seed index)
+      with
       | Ok () -> true
       | Error msg ->
         QCheck2.Test.fail_reportf "seed %d, event %d, group %d: %s" seed index group msg)
@@ -113,7 +163,10 @@ let prop_batched_queue_random_crash =
     QCheck2.Gen.(pair (int_range 0 10_000) (int_range 0 60))
     (fun (bseed, index) ->
       let spec = { Cs.default_batched_queue_spec with Cs.bseed } in
-      match Cs.run_batched_queue_crash_point spec ~totals:(Metrics.create ()) index with
+      match
+        Cs.run_batched_queue_crash_point spec ~totals:(Metrics.create ())
+          (Cs.plan ~seed:bseed index)
+      with
       | Ok () -> true
       | Error msg -> QCheck2.Test.fail_reportf "seed %d, event %d: %s" bseed index msg)
 
@@ -129,6 +182,9 @@ let suite =
     test "fault counters exported" fault_counters_exported;
     test "index-rebuild-before-recovery flake seeds stay green" flake_seeds_pinned;
     test "ship under 25% transient faults" ship_under_heavy_transient_faults;
+    test "sweep rejects stride < 1" sweep_rejects_bad_stride;
+    test "sweep reports a plan that never fired" sweep_reports_unfired_plans;
+    test "sweep reports a failing fault-free run" sweep_reports_failing_fault_free_run;
     QCheck_alcotest.to_alcotest prop_queue_random_crash_never_loses;
     QCheck_alcotest.to_alcotest prop_db_random_crash_exact_rows;
     QCheck_alcotest.to_alcotest prop_grouped_db_random_crash;

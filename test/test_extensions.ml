@@ -183,30 +183,29 @@ let watermark_corrupt_checksum () =
    of one advance; whatever survives must be one of the two adjacent
    durable states, and the store must stay fully usable *)
 let watermark_crash_during_advance () =
-  let mk () =
+  let scenario ~totals:_ plan =
     let vfs = Vfs.in_memory () in
     let wm = Watermark.load vfs ~name:"marks" in
     Watermark.advance wm ~table:"parts" { Watermark.day = 1; lsn = 10 };
-    (vfs, wm)
-  in
-  let vfs0, wm0 = mk () in
-  Vfs.set_fault vfs0 (Some (Vfs.Fault.make ~seed:1 ()));
-  Watermark.advance wm0 ~table:"parts" { Watermark.day = 2; lsn = 20 };
-  let total = match Vfs.fault vfs0 with Some f -> Vfs.Fault.events f | None -> 0 in
-  check Alcotest.bool "events counted" true (total > 0);
-  for k = 0 to total - 1 do
-    let vfs, wm = mk () in
-    Vfs.set_fault vfs (Some (Vfs.Fault.make ~fail_stop_after:k ~seed:(10 + k) ()));
+    Vfs.set_fault vfs (Some plan);
     (try Watermark.advance wm ~table:"parts" { Watermark.day = 2; lsn = 20 }
      with Vfs.Fault.Crash _ -> ());
     Vfs.crash_reset vfs;
     let wm2 = Watermark.load vfs ~name:"marks" in
     let day = (Watermark.get wm2 ~table:"parts").Watermark.day in
-    check Alcotest.bool "durable state only" true (day = 1 || day = 2);
-    Watermark.advance wm2 ~table:"parts" { Watermark.day = 3; lsn = 30 };
-    check Alcotest.int "usable after crash" 3
-      (Watermark.get (Watermark.load vfs ~name:"marks") ~table:"parts").Watermark.day
-  done
+    if day <> 1 && day <> 2 then Error (Printf.sprintf "non-durable state: day %d" day)
+    else begin
+      Watermark.advance wm2 ~table:"parts" { Watermark.day = 3; lsn = 30 };
+      if (Watermark.get (Watermark.load vfs ~name:"marks") ~table:"parts").Watermark.day = 3
+      then Ok ()
+      else Error "store not usable after the crash"
+    end
+  in
+  let r = Dw_experiments.Crash_sim.sweep ~seed:10 scenario in
+  check Alcotest.bool "events counted" true (r.Dw_experiments.Crash_sim.total_events > 0);
+  check
+    Alcotest.(list (pair int string))
+    "durable state only, usable after crash" [] r.Dw_experiments.Crash_sim.failures
 
 let watermark_cursor_roundtrip () =
   let vfs = Vfs.in_memory () in

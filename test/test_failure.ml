@@ -304,6 +304,37 @@ let sustained_rejects_malformed () =
   | (_ : Vfs.Fault.t) -> Alcotest.fail "probability > 1 accepted"
   | exception Invalid_argument _ -> ()
 
+(* the one transient-retry loop: exactly [max_retries] retries, each
+   handed its backoff pause, then the last Transient escapes; a Crash is
+   never retried *)
+let fault_retry_bounded () =
+  let backoff = Dw_util.Backoff.create ~sleep:ignore ~base_s:0.5 ~seed:3 () in
+  let calls = ref 0 and pauses = ref [] in
+  (match
+     Vfs.Fault.retry ~backoff ~max_retries:3
+       ~on_retry:(fun p -> pauses := p :: !pauses)
+       (fun () ->
+         incr calls;
+         raise (Vfs.Fault.Transient (Printf.sprintf "write #%d" !calls)))
+   with
+   | () -> Alcotest.fail "exhausted retry returned"
+   | exception Vfs.Fault.Transient op -> check Alcotest.string "last fault re-raised" "write #4" op);
+  check Alcotest.int "1 try + 3 retries" 4 !calls;
+  check Alcotest.int "one pause per retry" 3 (List.length !pauses);
+  check Alcotest.bool "pauses follow the backoff" true (List.for_all (fun p -> p > 0.0) !pauses);
+  let calls = ref 0 in
+  match
+    Vfs.Fault.retry ~backoff ~max_retries:3
+      ~on_retry:(fun _ -> Alcotest.fail "a crash was retried")
+      (fun () ->
+        incr calls;
+        raise (Vfs.Fault.Crash { op = "fsync"; index = 7 }))
+  with
+  | () -> Alcotest.fail "crash swallowed"
+  | exception Vfs.Fault.Crash { index; _ } ->
+    check Alcotest.int "crash escapes untouched" 7 index;
+    check Alcotest.int "crash not retried" 1 !calls
+
 let suite =
   [
     test "steal then crash: losers undone" steal_then_crash_undone;
@@ -319,4 +350,5 @@ let suite =
     test "error-rate window raises then clears" sustained_error_rate_window;
     test "latency spikes counted inside the window" sustained_latency_counted;
     test "malformed sustained plans rejected" sustained_rejects_malformed;
+    test "Fault.retry: bounded retries, crash never caught" fault_retry_bounded;
   ]
