@@ -176,12 +176,7 @@ let apply_delete t ~current row =
     t.aggregates;
   if !rescan then Needs_rescan else Updated out
 
-let recompute_group t ~group ~replica_rows =
-  let members =
-    List.filter
-      (fun row -> passes t row && Tuple.equal (group_key t row) group)
-      replica_rows
-  in
+let recompute_group t ~group ~members =
   match members with
   | [] -> None
   | _ -> Some (output_row t group members, List.length members)

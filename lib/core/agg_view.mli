@@ -9,8 +9,11 @@
     Incremental maintainability (the classic results, all implemented):
     - [Count] and [Sum] are self-maintainable under inserts and deletes;
     - [Min]/[Max] are self-maintainable under inserts, but a delete of the
-      current extremum forces a group re-scan of the (warehouse-resident)
-      replica — which is exactly why warehouses keep detail data. *)
+      current extremum forces the group to be re-derived from the
+      (warehouse-resident) replica — which is exactly why warehouses keep
+      detail data.  The warehouse batches those re-derivations: one
+      replica pass per view per warehouse transaction, feeding
+      {!recompute_group} each affected group's members. *)
 
 module Schema = Dw_relation.Schema
 module Tuple = Dw_relation.Tuple
@@ -70,7 +73,8 @@ val apply_delete : t -> current:Tuple.t -> Tuple.t -> delete_outcome
 (** Remove one source row's contribution.  The caller handles group death
     (cardinality 0) before calling this. *)
 
-val recompute_group :
-  t -> group:Tuple.t -> replica_rows:Tuple.t list -> (Tuple.t * int) option
-(** Re-derive a group's output row and cardinality from replica detail
-    rows ([None] if the group is empty). *)
+val recompute_group : t -> group:Tuple.t -> members:Tuple.t list -> (Tuple.t * int) option
+(** Re-derive a group's output row and cardinality from its members: the
+    replica detail rows that pass the filter and belong to [group] — the
+    caller collects them ([None] if there are none, i.e. the group is
+    empty). *)

@@ -31,6 +31,7 @@ type t = {
   capture_images : bool;  (* force hybrid before-image capture *)
   mutable seq : int;
   mutable captured : Op_delta.t list;  (* newest first *)
+  mutable count : int;  (* List.length captured *)
   mutable captured_bytes : int;
 }
 
@@ -43,7 +44,17 @@ let create ?(views = []) ?(replicas = true) ?(capture_images = false) db ~sink =
    | To_file name ->
      if not (Vfs.exists (Db.vfs db) name) then
        Vfs.close (Vfs.create (Db.vfs db) name));
-  { db; sink; views; replicas; capture_images; seq = 0; captured = []; captured_bytes = 0 }
+  {
+    db;
+    sink;
+    views;
+    replicas;
+    capture_images;
+    seq = 0;
+    captured = [];
+    count = 0;
+    captured_bytes = 0;
+  }
 
 let captures_images t = t.capture_images
 
@@ -154,6 +165,7 @@ let exec_txn t stmts =
     write_to_sink t txn od;
     Db.commit t.db txn;
     t.captured <- od :: t.captured;
+    t.count <- t.count + 1;
     t.captured_bytes <- t.captured_bytes + Op_delta.size_bytes ~schema_of:(schema_of t) od;
     Ok (List.rev !results_rev)
   in
@@ -170,6 +182,15 @@ let capture_units ~statements ~image_rows = float_of_int (statements + image_row
 let work_units ~statements = float_of_int statements
 
 let captured t = List.rev t.captured
+
+(* the newest [count - n] entries, walked off the head of the list *)
+let captured_since t n =
+  let rec take k acc = function
+    | od :: rest when k > 0 -> take (k - 1) (od :: acc) rest
+    | _ -> acc
+  in
+  take (t.count - n) [] t.captured
+
 let captured_bytes t = t.captured_bytes
 
 let read_sink t =

@@ -70,6 +70,12 @@ val captured : t -> Op_delta.t list
 (** All Op-Deltas captured through this wrapper, oldest first (in-memory
     mirror of the sink; survives sink truncation). *)
 
+val captured_since : t -> int -> Op_delta.t list
+(** [captured_since t n]: the Op-Deltas captured after the first [n],
+    oldest first — what a consumer that has already taken [n] still has
+    to take.  Costs O(fresh), not O(history); [n] at or past the total
+    gives [[]]. *)
+
 val captured_bytes : t -> int
 (** Total {!Op_delta.size_bytes} captured — the paper's delta-volume
     metric (experiment V1). *)

@@ -244,25 +244,33 @@ let replica_rows_of t idxs table =
 
 let replica_rows t table = replica_rows_of t (indices t) table
 
+(* Merge two key-sorted slices into one key-sorted list, combining entries
+   whose keys compare equal.  Every shard's view and aggregate-view slice
+   comes sorted ([Warehouse.view_rows], [Warehouse.agg_view_rows]), so a
+   fleet read folds the slices in one shard at a time: no hashing of whole
+   tuples, no re-sort, and no list of slices to keep alive. *)
+let merge_sorted ~compare ~combine xs ys =
+  let rec go acc xs ys =
+    match xs, ys with
+    | [], rest | rest, [] -> List.rev_append acc rest
+    | x :: xs', y :: ys' ->
+      let c = compare x y in
+      if c < 0 then go (x :: acc) xs' ys
+      else if c > 0 then go (y :: acc) xs ys'
+      else go (combine x y :: acc) xs' ys'
+  in
+  go [] xs ys
+
 (* sum multiplicities of identical output rows across shards (a base row
    lives on exactly one shard, but two shards' slices can project to the
    same view row) *)
-let merge_counted rows_by_shard =
-  let tbl = Hashtbl.create 64 in
-  let order = ref [] in
-  List.iter
-    (List.iter (fun (row, count) ->
-         match Hashtbl.find_opt tbl row with
-         | Some c -> Hashtbl.replace tbl row (c + count)
-         | None ->
-           Hashtbl.add tbl row count;
-           order := row :: !order))
-    rows_by_shard;
-  List.rev_map (fun row -> (row, Hashtbl.find tbl row)) !order
-  |> List.sort (fun (a, _) (b, _) -> Tuple.compare a b)
+let merge_counted =
+  merge_sorted
+    ~compare:(fun (a, _) (b, _) -> Tuple.compare a b)
+    ~combine:(fun (row, c) (_, c') -> (row, c + c'))
 
 let view_rows_of t idxs name =
-  merge_counted (List.map (fun i -> Warehouse.view_rows t.shards.(i) name) idxs)
+  List.fold_left (fun acc i -> merge_counted acc (Warehouse.view_rows t.shards.(i) name)) [] idxs
 
 let view_rows t name = view_rows_of t (indices t) name
 
@@ -295,28 +303,26 @@ let agg_view_rows_of t idxs name =
   in
   let groups = List.length adef.Agg_view.group_by in
   let fns = List.map snd adef.Agg_view.aggregates in
-  let tbl = Hashtbl.create 64 in
-  let order = ref [] in
-  List.iter
-    (fun i ->
-      List.iter
-        (fun (row, count) ->
-          let key = Array.sub row 0 groups in
-          match Hashtbl.find_opt tbl key with
-          | None ->
-            Hashtbl.add tbl key (row, count);
-            order := key :: !order
-          | Some (existing, c) ->
-            let merged = Array.copy existing in
-            List.iteri
-              (fun j fn ->
-                merged.(groups + j) <- merge_agg_value fn existing.(groups + j) row.(groups + j))
-              fns;
-            Hashtbl.replace tbl key (merged, c + count))
-        (Warehouse.agg_view_rows t.shards.(i) name))
-    idxs;
-  List.rev_map (fun key -> Hashtbl.find tbl key) !order
-  |> List.sort (fun (a, _) (b, _) -> Tuple.compare a b)
+  (* a slice is sorted by output row, and a group occurs once per shard,
+     so it is sorted by its group columns too *)
+  let rec compare_groups a b i =
+    if i = groups then 0
+    else
+      let c = Value.compare a.(i) b.(i) in
+      if c <> 0 then c else compare_groups a b (i + 1)
+  in
+  let combine (existing, c) (row, c') =
+    let merged = Array.copy existing in
+    List.iteri
+      (fun j fn ->
+        merged.(groups + j) <- merge_agg_value fn existing.(groups + j) row.(groups + j))
+      fns;
+    (merged, c + c')
+  in
+  let merge =
+    merge_sorted ~compare:(fun (a, _) (b, _) -> compare_groups a b 0) ~combine
+  in
+  List.fold_left (fun acc i -> merge acc (Warehouse.agg_view_rows t.shards.(i) name)) [] idxs
 
 let agg_view_rows t name = agg_view_rows_of t (indices t) name
 
@@ -657,7 +663,8 @@ let view_rows_checked ?(policy = `Fail_closed) t name =
   let served, skipped =
     read_checked ~policy t (fun i -> Warehouse.view_rows t.shards.(i) name)
   in
-  (merge_counted (List.map snd served), coverage_of t ~served ~skipped)
+  (List.fold_left (fun acc (_, rows) -> merge_counted acc rows) [] served,
+   coverage_of t ~served ~skipped)
 
 let agg_view_rows_checked ?(policy = `Fail_closed) t name =
   let served, skipped = read_checked ~policy t (fun i -> i) in

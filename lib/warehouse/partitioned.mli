@@ -149,11 +149,13 @@ val replica_rows : t -> string -> Tuple.t list
 
 val view_rows : t -> string -> (Tuple.t * int) list
 (** Merged materialized view rows: per-shard multiplicities summed per
-    output row (each base row lives on exactly one shard), sorted. *)
+    output row (each base row lives on exactly one shard), sorted.  The
+    shards' sorted slices are merged one shard at a time. *)
 
 val agg_view_rows : t -> string -> (Tuple.t * int) list
 (** Merged aggregate view rows: group cardinalities and COUNT/SUM
-    combine additively, MIN/MAX by comparison, sorted by group. *)
+    combine additively, MIN/MAX by comparison, sorted by group (a sorted
+    merge of the shards' sorted slices). *)
 
 val watermarks : t -> int array
 (** Per-shard applied-through source transaction id (0 before any

@@ -29,6 +29,10 @@ type agg_state = {
   aback_schema : Schema.t;
 }
 
+module Groups = Set.Make (Tuple)
+module Group_map = Map.Make (Tuple)
+module Dirty = Map.Make (String)
+
 type t = {
   db : Db.t;
   replicas : (string, Schema.t) Hashtbl.t;
@@ -37,6 +41,9 @@ type t = {
   by_source : (string, string list ref) Hashtbl.t;  (* source table -> view names *)
   agg_by_source : (string, string list ref) Hashtbl.t;
   mutable row_ops : int;  (* counted across integrations via triggers *)
+  mutable dirty : Groups.t Dirty.t option;
+      (* agg view -> MIN/MAX groups awaiting re-derivation; [Some] only
+         while [apply] runs *)
 }
 
 let attach ~db () =
@@ -51,6 +58,7 @@ let attach ~db () =
     by_source = Hashtbl.create 8;
     agg_by_source = Hashtbl.create 8;
     row_ops = 0;
+    dirty = None;
   }
 
 let create ?pool_pages ?pool_stripes ~vfs ~name () =
@@ -138,111 +146,101 @@ let agg_count_of back_schema row =
 
 let agg_out_of ast row = Array.sub row 0 (Schema.arity ast.aout_schema)
 
-let replica_rows_now t table =
-  let rows = ref [] in
-  Table.scan (Db.table t.db table) (fun _ row -> rows := row :: !rows);
-  !rows
+(* A MIN/MAX extremum leaving its group cannot be maintained from the
+   backing row alone.  The triggers only mark such a group dirty; the
+   apply core re-derives every dirty group of a view in one replica pass
+   at the end of the transaction ([rederive]).  Until then a dirty
+   group's backing row is stale, so every later incremental change to it
+   is skipped — the pass reads the final replica and absorbs them all. *)
+let is_dirty t ast group =
+  match t.dirty with
+  | Some dirty -> (
+      match Dirty.find_opt ast.abacking dirty with
+      | Some groups -> Groups.mem group groups
+      | None -> false)
+  | None -> false
+
+(* outside [apply] there is no end-of-transaction pass to defer to *)
+let mark_dirty t ast group =
+  match t.dirty with
+  | Some dirty ->
+    let add groups = Some (Groups.add group (Option.value groups ~default:Groups.empty)) in
+    t.dirty <- Some (Dirty.update ast.abacking add dirty)
+  | None ->
+    invalid_arg
+      (Printf.sprintf "Warehouse: agg view %s group %s needs re-derivation outside the apply core"
+         ast.adef.Agg_view.name (Tuple.to_string group))
+
+let missing_group ast group =
+  invalid_arg
+    (Printf.sprintf "Warehouse: agg view %s missing group %s" ast.adef.Agg_view.name
+       (Tuple.to_string group))
 
 let agg_apply_insert t txn ast row =
   if Agg_view.passes ast.adef row then begin
-    t.row_ops <- t.row_ops + 1;
     let group = Agg_view.group_key ast.adef row in
-    match Db.find_by_key t.db txn ast.abacking group with
-    | Some (rid, existing) ->
-      let count = agg_count_of ast.aback_schema existing in
-      let out = Agg_view.apply_insert ast.adef ~current:(agg_out_of ast existing) row in
-      Db.update_rid t.db txn ast.abacking rid (with_count out (count + 1))
-    | None ->
-      ignore
-        (Db.insert_row t.db txn ast.abacking
-           (with_count (Agg_view.init_group ast.adef row) 1)
-          : Heap_file.rid)
+    if not (is_dirty t ast group) then begin
+      t.row_ops <- t.row_ops + 1;
+      match Db.find_by_key t.db txn ast.abacking group with
+      | Some (rid, existing) ->
+        let count = agg_count_of ast.aback_schema existing in
+        let out = Agg_view.apply_insert ast.adef ~current:(agg_out_of ast existing) row in
+        Db.update_rid t.db txn ast.abacking rid (with_count out (count + 1))
+      | None ->
+        ignore
+          (Db.insert_row t.db txn ast.abacking
+             (with_count (Agg_view.init_group ast.adef row) 1)
+            : Heap_file.rid)
+    end
   end
 
 let agg_apply_delete t txn ast row =
   if Agg_view.passes ast.adef row then begin
-    t.row_ops <- t.row_ops + 1;
     let group = Agg_view.group_key ast.adef row in
-    match Db.find_by_key t.db txn ast.abacking group with
-    | None ->
-      invalid_arg
-        (Printf.sprintf "Warehouse: agg view %s missing group %s" ast.adef.Agg_view.name
-           (Tuple.to_string group))
-    | Some (rid, existing) ->
-      let count = agg_count_of ast.aback_schema existing in
-      if count <= 1 then Db.delete_rid t.db txn ast.abacking rid
-      else begin
-        match Agg_view.apply_delete ast.adef ~current:(agg_out_of ast existing) row with
-        | Agg_view.Updated out -> Db.update_rid t.db txn ast.abacking rid (with_count out (count - 1))
-        | Agg_view.Needs_rescan -> (
-            (* the trigger is AFTER: the replica no longer holds [row] *)
-            let detail = replica_rows_now t ast.adef.Agg_view.table in
-            match Agg_view.recompute_group ast.adef ~group ~replica_rows:detail with
-            | Some (out, n) -> Db.update_rid t.db txn ast.abacking rid (with_count out n)
-            | None -> Db.delete_rid t.db txn ast.abacking rid)
-      end
-  end
-
-(* refresh one whole group from replica detail (used for updates, where
-   incremental delete-then-insert would see the post-update replica twice) *)
-let agg_refresh_group t txn ast group =
-  t.row_ops <- t.row_ops + 1;
-  let detail = replica_rows_now t ast.adef.Agg_view.table in
-  let current = Db.find_by_key t.db txn ast.abacking group in
-  match Agg_view.recompute_group ast.adef ~group ~replica_rows:detail, current with
-  | Some (out, n), Some (rid, _) -> Db.update_rid t.db txn ast.abacking rid (with_count out n)
-  | Some (out, n), None ->
-    ignore (Db.insert_row t.db txn ast.abacking (with_count out n) : Heap_file.rid)
-  | None, Some (rid, _) -> Db.delete_rid t.db txn ast.abacking rid
-  | None, None -> ()
-
-(* Updates run incrementally: remove the before-row's contribution and add
-   the after-row's.  Only a MIN/MAX extremum leaving its group forces a
-   group refresh — and that refresh reads the post-update replica, so the
-   incremental insert of the after-row must be skipped when it landed in
-   the refreshed group. *)
-let agg_apply_update t txn ast ~before ~after =
-  let passes = Agg_view.passes ast.adef in
-  let before_in = passes before and after_in = passes after in
-  let g_before = if before_in then Some (Agg_view.group_key ast.adef before) else None in
-  let g_after = if after_in then Some (Agg_view.group_key ast.adef after) else None in
-  match g_before, g_after with
-  | None, None -> ()
-  | None, Some _ -> agg_apply_insert t txn ast after
-  | Some group, after_opt -> (
-      let same_group =
-        match after_opt with Some g -> Tuple.equal g group | None -> false
-      in
+    if not (is_dirty t ast group) then begin
       t.row_ops <- t.row_ops + 1;
       match Db.find_by_key t.db txn ast.abacking group with
-      | None ->
-        invalid_arg
-          (Printf.sprintf "Warehouse: agg view %s missing group %s" ast.adef.Agg_view.name
-             (Tuple.to_string group))
-      | Some (rid, existing) -> (
-          let count = agg_count_of ast.aback_schema existing in
-          match Agg_view.apply_delete ast.adef ~current:(agg_out_of ast existing) before with
+      | None -> missing_group ast group
+      | Some (rid, existing) ->
+        let count = agg_count_of ast.aback_schema existing in
+        if count <= 1 then Db.delete_rid t.db txn ast.abacking rid
+        else begin
+          match Agg_view.apply_delete ast.adef ~current:(agg_out_of ast existing) row with
           | Agg_view.Updated out ->
-            if same_group then
-              (* fold the after-row straight back in; cardinality unchanged *)
-              Db.update_rid t.db txn ast.abacking rid
-                (with_count (Agg_view.apply_insert ast.adef ~current:out after) count)
-            else begin
-              (if count <= 1 then Db.delete_rid t.db txn ast.abacking rid
-               else Db.update_rid t.db txn ast.abacking rid (with_count out (count - 1)));
-              match after_opt with
-              | Some _ -> agg_apply_insert t txn ast after
-              | None -> ()
-            end
-          | Agg_view.Needs_rescan ->
-            (* the post-update replica already holds the after-row: a
-               refresh of [group] absorbs it when same_group, otherwise
-               the after-row's own group still needs its insert *)
-            agg_refresh_group t txn ast group;
-            if not same_group then
-              match after_opt with
-              | Some _ -> agg_apply_insert t txn ast after
-              | None -> ()))
+            Db.update_rid t.db txn ast.abacking rid (with_count out (count - 1))
+          | Agg_view.Needs_rescan -> mark_dirty t ast group
+        end
+    end
+  end
+
+(* Updates run incrementally: remove the before-row's contribution and add
+   the after-row's.  Each half is skipped when it lands in a dirty group,
+   including the group the before-half has just marked. *)
+let agg_apply_update t txn ast ~before ~after =
+  let group = Agg_view.group_key ast.adef before in
+  if (not (Agg_view.passes ast.adef before)) || is_dirty t ast group then
+    agg_apply_insert t txn ast after
+  else begin
+    t.row_ops <- t.row_ops + 1;
+    match Db.find_by_key t.db txn ast.abacking group with
+    | None -> missing_group ast group
+    | Some (rid, existing) -> (
+        let count = agg_count_of ast.aback_schema existing in
+        match Agg_view.apply_delete ast.adef ~current:(agg_out_of ast existing) before with
+        | Agg_view.Updated out
+          when Agg_view.passes ast.adef after
+               && Tuple.equal (Agg_view.group_key ast.adef after) group ->
+          (* fold the after-row straight back in; cardinality unchanged *)
+          Db.update_rid t.db txn ast.abacking rid
+            (with_count (Agg_view.apply_insert ast.adef ~current:out after) count)
+        | Agg_view.Updated out ->
+          if count <= 1 then Db.delete_rid t.db txn ast.abacking rid
+          else Db.update_rid t.db txn ast.abacking rid (with_count out (count - 1));
+          agg_apply_insert t txn ast after
+        | Agg_view.Needs_rescan ->
+          mark_dirty t ast group;
+          agg_apply_insert t txn ast after)
+  end
 
 let maintain_views t source (ctx : Db.trigger_ctx) event =
   let apply row delta =
@@ -415,21 +413,61 @@ let add_stats a b =
 
 (* ---------- the apply core ---------- *)
 
+(* the one replica pass per view with dirty groups: collect those groups'
+   members (in the order [Agg_view.eval] sees them) and rewrite each
+   group's backing row from them *)
+let rederive t txn dirty =
+  let metrics = Db.metrics t.db in
+  Dirty.iter
+    (fun name groups ->
+      let ast = Hashtbl.find t.agg_views name in
+      Metrics.with_span metrics "warehouse.agg_rescan" @@ fun () ->
+      Metrics.incr metrics "warehouse.agg_rescans";
+      let members = ref Group_map.empty in
+      Table.scan (Db.table t.db ast.adef.Agg_view.table) (fun _ row ->
+          if Agg_view.passes ast.adef row then begin
+            let group = Agg_view.group_key ast.adef row in
+            if Groups.mem group groups then
+              members :=
+                Group_map.update group
+                  (fun rows -> Some (row :: Option.value rows ~default:[]))
+                  !members
+          end);
+      Groups.iter
+        (fun group ->
+          t.row_ops <- t.row_ops + 1;
+          let members = Option.value (Group_map.find_opt group !members) ~default:[] in
+          (* a group is marked through its backing row, and no later change
+             in the transaction touches a marked group's row *)
+          match Db.find_by_key t.db txn ast.abacking group with
+          | None -> missing_group ast group
+          | Some (rid, _) -> (
+              match Agg_view.recompute_group ast.adef ~group ~members with
+              | Some (out, n) -> Db.update_rid t.db txn ast.abacking rid (with_count out n)
+              | None -> Db.delete_rid t.db txn ast.abacking rid))
+        groups)
+    dirty
+
 (* Every integration is one warehouse transaction built here: the
    [warehouse.refresh] span, the registry-clock timer, [Db.with_txn], the
-   in-transaction [mark] (a progress record that commits or rolls back
-   with the data) and the stats.  [body] runs its statements through
-   [exec], which executes ASTs directly — Op-Delta text is parsed once,
-   at transport decode, and value-delta records become ASTs here — and
-   reports every failure, an unknown table included, as
-   [Invalid_argument "<entry>: ..."]. *)
+   MIN/MAX re-derivation pass, the in-transaction [mark] (a progress
+   record that commits or rolls back with the data) and the stats.
+   [body] runs its statements through [exec], which executes ASTs
+   directly — Op-Delta text is parsed once, at transport decode, and
+   value-delta records become ASTs here — and reports every failure, an
+   unknown table included, as [Invalid_argument "<entry>: ..."].  The
+   dirty-group set lives only for the call: empty at the start, dropped
+   at the end whether the transaction commits or aborts. *)
 let apply (t : t) ~entry ?(mark = ignore) body =
+  if Option.is_some t.dirty then invalid_arg (entry ^ ": another apply is running");
   let metrics = Db.metrics t.db in
   Metrics.with_span metrics "warehouse.refresh" @@ fun () ->
   let start = Metrics.now metrics in
   let row_ops0 = t.row_ops in
   let statements = ref 0 in
+  t.dirty <- Some Dirty.empty;
   let result =
+    Fun.protect ~finally:(fun () -> t.dirty <- None) @@ fun () ->
     Db.with_txn t.db (fun txn ->
         let exec stmt =
           incr statements;
@@ -440,6 +478,7 @@ let apply (t : t) ~entry ?(mark = ignore) body =
             invalid_arg (Printf.sprintf "%s: unknown table %s" entry (Ast.table_of stmt))
         in
         let result = body exec in
+        Option.iter (rederive t txn) t.dirty;
         mark txn;
         result)
   in

@@ -16,8 +16,10 @@
     Both paths, and the bootstrap primitives {!integrate_op_delta_images}
     and {!load_chunk}, run on one apply core: one warehouse transaction
     with the [warehouse.refresh] span, a registry-clock timer, an
-    optional in-transaction progress mark, and statements executed as
-    ASTs (Op-Delta text is parsed once, at transport decode).  Any
+    optional in-transaction progress mark, statements executed as
+    ASTs (Op-Delta text is parsed once, at transport decode), and one
+    end-of-transaction replica pass per aggregate view whose MIN/MAX
+    groups lost an extremum (see Aggregate views below).  Any
     failure, an unknown table included, raises
     [Invalid_argument "Warehouse.<entry>: ..."] and rolls the
     transaction back.
@@ -64,8 +66,14 @@ val recompute_view : t -> string -> (Tuple.t * int) list
 
 (** {2 Aggregate views} — GROUP BY views ({!Dw_core.Agg_view}), maintained
     incrementally by the same replica triggers.  COUNT/SUM adjust in
-    place; a delete that removes a MIN/MAX extremum re-derives the group
-    from the replica detail rows. *)
+    place.  A delete (or the before-half of an update) that removes a
+    MIN/MAX extremum only marks its group dirty; the apply core
+    re-derives every dirty group of a view from the replica detail rows
+    in one replica pass at the end of the warehouse transaction (counter
+    [warehouse.agg_rescans], span [warehouse.agg_rescan]), and skips the
+    dirty groups' incremental changes until then.  Outside the apply core
+    — a direct {!Db.exec} on a replica — such a delete raises
+    [Invalid_argument] rather than leave the group stale. *)
 
 val define_agg_view : t -> Dw_core.Agg_view.t -> unit
 (** Validates, creates the backing table and materializes the aggregate

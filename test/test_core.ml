@@ -514,6 +514,40 @@ let capture_replay_reproduces_state () =
   check Alcotest.bool "replica converges" true
     (rows_equal (table_rows src "parts") (table_rows replica "parts"))
 
+let capture_since_rounds () =
+  let db = mk_source () in
+  let cap = Opdelta_capture.create db ~sink:(Opdelta_capture.To_file "oplog") in
+  let run ids =
+    List.iter
+      (fun id ->
+        let stmt = Workload.update_parts_stmt ~first_id:id ~size:1 in
+        match Opdelta_capture.exec_txn cap [ stmt ] with
+        | Ok _ -> ()
+        | Error e -> Alcotest.fail e)
+      ids
+  in
+  let txn_ids ods = List.map (fun (od : Op_delta.t) -> od.Op_delta.txn_id) ods in
+  (* a consumer draining round by round gets each op-delta exactly once,
+     oldest first — the same slice a filter over the full history gives *)
+  let consumed = ref 0 in
+  let drain () =
+    let fresh = Opdelta_capture.captured_since cap !consumed in
+    let expected = List.filteri (fun i _ -> i >= !consumed) (Opdelta_capture.captured cap) in
+    check (Alcotest.list Alcotest.int) "fresh slice" (txn_ids expected) (txn_ids fresh);
+    consumed := !consumed + List.length fresh;
+    fresh
+  in
+  run [ 1; 2 ];
+  check Alcotest.int "round 1" 2 (List.length (drain ()));
+  check Alcotest.int "nothing new" 0 (List.length (drain ()));
+  run [ 3; 4; 5 ];
+  let round3 = txn_ids (drain ()) in
+  check Alcotest.int "round 3" 3 (List.length round3);
+  check Alcotest.bool "oldest first" true (List.sort compare round3 = round3);
+  check (Alcotest.list Alcotest.int) "whole history" (txn_ids (Opdelta_capture.captured cap))
+    (txn_ids (Opdelta_capture.captured_since cap 0));
+  check Alcotest.int "past the end" 0 (List.length (Opdelta_capture.captured_since cap 9))
+
 let capture_aborted_not_captured () =
   let db = mk_source () in
   let cap = Opdelta_capture.create db ~sink:(Opdelta_capture.To_file "oplog") in
@@ -797,6 +831,7 @@ let suite =
     test "capture db sink roundtrip" capture_db_sink_roundtrip;
     test "capture replay reproduces state" capture_replay_reproduces_state;
     test "capture aborted not captured" capture_aborted_not_captured;
+    test "captured_since drains fresh op-deltas per round" capture_since_rounds;
     test "capture hybrid before images" capture_hybrid_before_images;
     test "capture rejects join without replicas" capture_rejects_join_without_replicas;
     test "self-maintain verdicts" sm_verdicts;

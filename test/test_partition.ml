@@ -179,6 +179,13 @@ let spj =
       project = [ proj "part_id"; proj "qty" ];
     }
 
+(* projects away the key: shards' slices share output rows, so merged
+   reads must sum their multiplicities *)
+let qtys =
+  Spj_view.Select_project
+    { name = "qtys"; table = "parts"; schema = Workload.parts_schema; filter = None;
+      project = [ proj "qty" ] }
+
 let load_rows ~rows ~seed =
   let rng = Prng.create ~seed in
   List.init rows (fun i -> Workload.gen_part rng ~id:(i + 1) ~day:0)
@@ -188,10 +195,12 @@ let sequential_state ~rows ~seed ods =
   Warehouse.add_replica wh ~table:"parts" ~schema:Workload.parts_schema;
   Warehouse.load_replica wh ~table:"parts" (load_rows ~rows ~seed);
   Warehouse.define_view wh spj;
+  Warehouse.define_view wh qtys;
   Warehouse.define_agg_view wh view;
   ignore (Warehouse.integrate_op_deltas wh ods : Warehouse.stats);
   ( List.sort Tuple.compare (Warehouse.replica_rows wh "parts"),
     Warehouse.view_rows wh "cheap",
+    Warehouse.view_rows wh "qtys",
     Warehouse.agg_view_rows wh "band_stats" )
 
 let partitioned_state ~spec ~rows ~seed ods =
@@ -199,12 +208,14 @@ let partitioned_state ~spec ~rows ~seed ods =
   Partitioned.add_replica pw ~table:"parts" ~schema:Workload.parts_schema;
   Partitioned.load_replica pw ~table:"parts" (load_rows ~rows ~seed);
   Partitioned.define_view pw spj;
+  Partitioned.define_view pw qtys;
   Partitioned.define_agg_view pw view;
   let buckets, (_ : Stage.stats) = Stage.split ~spec ods in
   Domain_pool.with_pool ~domains:2 (fun pool ->
       ignore (Partitioned.refresh ~pool pw buckets : Warehouse.stats));
   ( Partitioned.replica_rows pw "parts",
     Partitioned.view_rows pw "cheap",
+    Partitioned.view_rows pw "qtys",
     Partitioned.agg_view_rows pw "band_stats" )
 
 let gen_equiv_case =

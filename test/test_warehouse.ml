@@ -432,6 +432,129 @@ let prop_agg_incremental =
         ops;
       agg_views_agree wh "qty_stats")
 
+(* ---------- batched MIN/MAX re-derivation ---------- *)
+
+module Ast = Dw_sql.Ast
+module Metrics = Dw_util.Metrics
+
+(* ids 1..24 with qty = id mod 5: four live groups (qty 1..4, five or six
+   members each) and one the qty > 0 filter drops; whole-number prices
+   keep SUM exact in any fold order *)
+let band_row id qty =
+  [| Value.Int id; Value.Str (Printf.sprintf "p%d" id); Value.Int qty;
+     Value.Float (float_of_int id); Value.Date 0 |]
+
+let band_wh () =
+  let wh = mk_wh ~parts:0 () in
+  Warehouse.load_replica wh ~table:"parts"
+    (List.init 24 (fun i -> band_row (i + 1) ((i + 1) mod 5)));
+  Warehouse.define_agg_view wh qty_by_price_band;
+  wh
+
+let rescans wh = Metrics.get (Db.metrics (Warehouse.db wh)) "warehouse.agg_rescans"
+
+type band_op =
+  | Drop of int  (* DELETE one id — often its group's MIN or MAX *)
+  | Refill of int  (* empty group g, then re-create it with a fresh row *)
+  | Move of int * int  (* UPDATE one id into group g *)
+  | Touch of int  (* UPDATE one id's price in place *)
+  | Add of int  (* INSERT a fresh id into group g *)
+
+let col_is col v = Some (Expr.Cmp (Expr.Eq, Expr.Col col, Expr.Lit (Value.Int v)))
+let id_is = col_is "part_id"
+
+let insert_band id g =
+  Ast.Insert { table = "parts"; columns = None; rows = [ Array.to_list (band_row id g) ] }
+
+(* statements of one op; fresh ids come from [next] in generation order *)
+let band_stmts next = function
+  | Drop id -> [ Ast.Delete { table = "parts"; where = id_is id } ]
+  | Refill g ->
+    let id = next () in
+    [ Ast.Delete { table = "parts"; where = col_is "qty" g }; insert_band id g ]
+  | Move (id, g) ->
+    let sets = [ ("qty", Expr.Lit (Value.Int g)) ] in
+    [ Ast.Update { table = "parts"; sets; where = id_is id } ]
+  | Touch id ->
+    let bump = Expr.Binop (Expr.Add, Expr.Col "price", Expr.Lit (Value.Float 1.0)) in
+    [ Ast.Update { table = "parts"; sets = [ ("price", bump) ]; where = id_is id } ]
+  | Add g -> [ insert_band (next ()) g ]
+
+let band_deltas txns =
+  let fresh = ref 100 in
+  let next () = incr fresh; !fresh in
+  List.mapi
+    (fun i ops -> Op_delta.make ~txn_id:(i + 1) (List.concat_map (band_stmts next) ops))
+    txns
+
+let agg_one_rescan_per_txn () =
+  let wh = band_wh () in
+  let before = rescans wh in
+  (* one transaction removes the MAX of groups 1, 2 and 3 *)
+  ignore (integrate_one wh (List.hd (band_deltas [ [ Drop 21; Drop 22; Drop 23 ] ])));
+  check Alcotest.int "one replica pass" 1 (rescans wh - before);
+  check Alcotest.int "one agg_rescan span" 1
+    (Metrics.observed_count (Db.metrics (Warehouse.db wh)) "warehouse.agg_rescan");
+  check Alcotest.bool "re-derived groups agree" true (agg_views_agree wh "qty_stats");
+  match Warehouse.agg_view_rows wh "qty_stats" with
+  | (g1, 4) :: _ ->
+    check Alcotest.bool "group 1 max re-derived" true (Value.equal g1.(4) (Value.Int 16))
+  | _ -> Alcotest.fail "group shape"
+
+let gen_band_txns =
+  QCheck2.Gen.(
+    let id = int_range 1 24 and g = int_range 0 4 in
+    let op =
+      oneof
+        [ map (fun i -> Drop i) id; map (fun g -> Refill g) (int_range 1 4);
+          map2 (fun i g -> Move (i, g)) id g; map (fun i -> Touch i) id; map (fun g -> Add g) g ]
+    in
+    list_size (int_range 1 6) (list_size (int_range 1 5) op))
+
+let prop_batched_minmax =
+  QCheck2.Test.make ~name:"agg views: batched MIN/MAX re-derivation equals recompute" ~count:40
+    gen_band_txns (fun txns ->
+      (* a fixed first transaction hits every deferred path: two groups go
+         dirty (MAX of 1, MIN of 2), a row moves between them, group 3 is
+         emptied and re-created *)
+      let ods = band_deltas ([ Drop 21; Drop 2; Move (11, 2); Refill 3 ] :: txns) in
+      List.for_all
+        (fun grouping ->
+          let wh = band_wh () in
+          ignore (Warehouse.integrate_op_deltas ~grouping wh ods : Warehouse.stats);
+          agg_views_agree wh "qty_stats")
+        [ Warehouse.Run;
+          Warehouse.Batched { Warehouse.default_batch_policy with Warehouse.max_batch = 3 } ])
+
+let agg_abort_starts_clean () =
+  let wh = band_wh () in
+  let before = Warehouse.agg_view_rows wh "qty_stats" in
+  let unknown = Ast.Delete { table = "nowhere"; where = None } in
+  let ods = band_deltas [ [ Drop 21 ] ] @ [ Op_delta.make ~txn_id:2 [ unknown ] ] in
+  (match Warehouse.integrate_op_deltas ~grouping:Warehouse.Run wh ods with
+   | _ -> Alcotest.fail "expected the unknown table to fail the batch"
+   | exception Invalid_argument _ -> ());
+  check Alcotest.bool "batch rolled back" true (Warehouse.agg_view_rows wh "qty_stats" = before);
+  (* group 1 was dirty in the failed batch: a leaked mark would skip this
+     insert and re-derive the group instead *)
+  let n = rescans wh in
+  ignore (integrate_one wh (Op_delta.make ~txn_id:3 [ insert_band 300 1 ]));
+  check Alcotest.int "no re-derivation" 0 (rescans wh - n);
+  check Alcotest.bool "view equals recompute" true (agg_views_agree wh "qty_stats")
+
+let agg_guard_outside_apply () =
+  let wh = band_wh () in
+  let db = Warehouse.db wh in
+  let exec stmt = Db.with_txn db (fun txn -> ignore (Db.exec db txn stmt : Db.exec_result)) in
+  (* group 1 is {1, 6, 11, 16, 21}: a middle member stays incremental *)
+  exec (Ast.Delete { table = "parts"; where = id_is 11 });
+  check Alcotest.bool "middle delete maintained" true (agg_views_agree wh "qty_stats");
+  (match exec (Ast.Delete { table = "parts"; where = id_is 21 }) with
+   | () -> Alcotest.fail "an extremum delete outside apply must be refused"
+   | exception Invalid_argument _ -> ());
+  check Alcotest.int "replica rolled back" 23 (List.length (Warehouse.replica_rows wh "parts"));
+  check Alcotest.bool "view not left stale" true (agg_views_agree wh "qty_stats")
+
 (* ---------- OLAP queries ---------- *)
 
 module Olap = Dw_warehouse.Olap
@@ -523,6 +646,10 @@ let suite =
     test "agg min/max rescan on delete" agg_minmax_rescan_on_delete;
     test "agg update moves groups" agg_update_moves_groups;
     QCheck_alcotest.to_alcotest prop_agg_incremental;
+    test "agg one replica pass per transaction" agg_one_rescan_per_txn;
+    QCheck_alcotest.to_alcotest prop_batched_minmax;
+    test "agg aborted batch leaves no dirty group" agg_abort_starts_clean;
+    test "agg re-derivation refused outside apply" agg_guard_outside_apply;
     test "olap standard mix" olap_standard_mix;
     test "olap rejects dml" olap_rejects_dml;
     test "sim: batch blocks queries" sim_batch_blocks_queries;
